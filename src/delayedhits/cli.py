@@ -319,6 +319,11 @@ _SUITES = {
 
 
 def cmd_check(args):
+    # a sweep of no cases, or of idle slots only, would pass vacuously
+    if args.cases <= 0:
+        raise ValueError(f"--cases must be positive, got {args.cases}")
+    if not 0 <= args.idle_prob < 1:
+        raise ValueError(f"--idle-prob must be in [0, 1), got {args.idle_prob}")
     rng = random.Random(args.seed)
     failures, first = _SUITES[args.suite](rng, args.cases, args.idle_prob)
     results = {

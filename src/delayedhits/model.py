@@ -66,7 +66,7 @@ class ModelParams:
         return frozenset(range(1, self.cache_size + 1))
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     """What happened during one timestep."""
 
@@ -74,22 +74,46 @@ class StepRecord:
     item: int
     hit: bool | None            # None for idle slots
     returned: int | None        # item that came back, if any
-    served: list[tuple[int, int]]  # (request time, charged latency) pairs
+    served: tuple[tuple[int, int], ...]  # (request time, charged latency) pairs
     evicted: int                # 0 when nothing was evicted
 
 
 @dataclass
 class SimulationResult:
-    """Everything observable from one complete run."""
+    """Everything observable from one complete run.
+
+    The cache contents are not stored per step: ``cache_history`` and
+    ``final_cache`` are rebuilt on access from the initial cache, the
+    eviction sequence and the item cached at each eviction.
+    """
 
     hit_sequence: list[int]
     per_request_latency: list[int]
     eviction_sequence: list[int]
-    cache_history: list[frozenset[int]]
     total_latency: int
+    initial_cache: frozenset[int]
+    insertions: list[int]      # item cached at each nonzero eviction, in order
+
+    def _cache_states(self):
+        """The live cache set before the first step and after each step."""
+        cache = set(self.initial_cache)
+        yield cache
+        inserted = iter(self.insertions)
+        for evicted in self.eviction_sequence:
+            if evicted:
+                cache.remove(evicted)
+                cache.add(next(inserted))
+            yield cache
+
+    @property
+    def cache_history(self) -> list[frozenset[int]]:
+        """The cache before the first step and after each step: O(T·k) to build."""
+        return [frozenset(cache) for cache in self._cache_states()]
 
     def final_cache(self) -> frozenset[int]:
-        return self.cache_history[-1]
+        for cache in self._cache_states():
+            pass
+        return frozenset(cache)
 
     def miss_count(self) -> int:
         return self.hit_sequence.count(0)
@@ -111,28 +135,41 @@ class Simulation:
     entry points exist for callers that need to pause at eviction
     decisions (the exhaustive searches) or to interleave two simulations
     (the model reduction).
+
+    Every structure is keyed by item or by time and holds only what is in
+    flight, so one request costs O(1) amortised work and a run holds O(T)
+    memory whatever the item ids are.
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
         self.t = 0
-        self.cache = set(params.initial_cache())
-        self.pending = []      # (item, request time), served in retrieval phases
+        # a dict used as a set: its keys() view is what policies are shown
+        self.cache = dict.fromkeys(params.initial_cache())
+        # in-flight state; the tuples are replaced, never mutated, so a
+        # clone can share them
+        self.pending = {}      # item -> request times queued for its next return
         self.fetches = {}      # return time -> item; one dispatch per timestep
+        self.fetch_times = {}  # item -> return times of its fetches in flight
         self.hit_bits = []
-        self.per_request_latency = []  # None until the request is served
+        self.per_request_latency = []
         self.eviction_sequence = []
-        self.cache_history = [frozenset(self.cache)]
-        self.charged = 0       # latency charged so far
-        self.last_served = []  # (request time, latency) pairs of the last retrieval
+        self.insertions = None  # (item cached, earlier insertions) chain, shared by clones
+        self.committed = 0     # latency of every request so far, fixed when it misses
+        self.last_served = ()  # (request time, latency) pairs of the last retrieval
 
     # -- request phase -------------------------------------------------
 
     def request_phase(self, item: int) -> bool | None:
-        """Advance the clock and take in the next request (0 = idle)."""
-        if not 0 <= item <= self.params.num_items:
-            raise ValueError(f"item {item} outside 0..{self.params.num_items}")
-        self.t += 1
+        """Advance the clock and take in the next request (0 = idle).
+
+        A miss's latency is fixed here: the earliest same-item fetch in
+        flight, its own fetch included, is the one that will serve it.
+        """
+        params = self.params
+        if not 0 <= item <= params.num_items:
+            raise ValueError(f"item {item} outside 0..{params.num_items}")
+        self.t = t = self.t + 1
         self.eviction_sequence.append(0)
         if item == 0:
             # idle slots are recorded as hits and never cost anything
@@ -143,58 +180,64 @@ class Simulation:
         if hit:
             self.hit_bits.append(1)
             self.per_request_latency.append(0)
-            if self.params.mode == ANTIMONOTONE:
-                self._dispatch(item)
-        else:
-            self.hit_bits.append(0)
-            self.per_request_latency.append(None)
-            self.pending.append((item, self.t))
-            self._dispatch(item)
-        return hit
-
-    def _dispatch(self, item: int) -> None:
-        return_time = self.t + self.params.delay - 1
-        # one request per timestep, so the slot is always free
+            if params.mode != ANTIMONOTONE:
+                return True
+        # dispatch; one request per timestep, so the return slot is free
+        return_time = t + params.delay - 1
         self.fetches[return_time] = item
+        times = self.fetch_times.get(item, ()) + (return_time,)
+        self.fetch_times[item] = times
+        if hit:
+            return True
+        latency = times[0] - t + 1
+        self.hit_bits.append(0)
+        self.per_request_latency.append(latency)
+        self.committed += latency
+        self.pending[item] = self.pending.get(item, ()) + (t,)
+        return False
 
     # -- retrieval phase -----------------------------------------------
 
     def retrieval_serve(self) -> int | None:
         """Return the fetch due now (if any) and serve its queued requests."""
-        returned = self.fetches.pop(self.t, None)
+        t = self.t
+        returned = self.fetches.pop(t, None)
         if returned is None:
-            self.last_served = []
+            self.last_served = ()
             return None
-        still = []
-        served = []
-        for item, t0 in self.pending:
-            if item == returned:
-                latency = self.t - t0 + 1
-                self.per_request_latency[t0 - 1] = latency
-                self.charged += latency
-                served.append((t0, latency))
-            else:
-                still.append((item, t0))
-        self.pending = still
-        self.last_served = served
+        times = self.fetch_times[returned]
+        if len(times) == 1:
+            del self.fetch_times[returned]
+        else:
+            self.fetch_times[returned] = times[1:]
+        waiting = self.pending.pop(returned, None)
+        if waiting is None:
+            self.last_served = ()
+        else:
+            self.last_served = tuple([(t0, t - t0 + 1) for t0 in waiting])
         return returned
 
     def needs_decision(self, returned) -> bool:
         return returned is not None and returned not in self.cache
 
-    def apply_eviction(self, returned: int, eviction: int) -> None:
+    def apply_eviction(self, returned: int | None, eviction: int) -> None:
         """Cache ``returned`` in place of ``eviction`` (0 declines)."""
         if eviction == 0:
             return
+        if returned is None:
+            raise InfeasibleEvictionError(
+                self.t, eviction, "no insertion opportunity: nothing returned"
+            )
         if returned in self.cache:
             raise InfeasibleEvictionError(
                 self.t, eviction, "no insertion opportunity: returned item resident"
             )
         if eviction not in self.cache:
             raise InfeasibleEvictionError(self.t, eviction)
-        self.cache.remove(eviction)
-        self.cache.add(returned)
+        del self.cache[eviction]
+        self.cache[returned] = None
         self.eviction_sequence[self.t - 1] = eviction
+        self.insertions = (returned, self.insertions)
         assert len(self.cache) == self.params.cache_size
 
     # -- drivers ---------------------------------------------------------
@@ -207,10 +250,8 @@ class Simulation:
         returned = self.retrieval_serve()
         evicted = 0
         if self.needs_decision(returned) and policy is not None:
-            choice = policy.choose_eviction(self.t, returned, frozenset(self.cache))
-            self.apply_eviction(returned, choice)
-            evicted = choice
-        self.cache_history.append(frozenset(self.cache))
+            evicted = policy.choose_eviction(self.t, returned, self.cache.keys())
+            self.apply_eviction(returned, evicted)
         return StepRecord(self.t, item, hit, returned, self.last_served, evicted)
 
     def drain_step(self) -> None:
@@ -222,48 +263,51 @@ class Simulation:
         while self.fetches:
             self.drain_step()
 
-    def in_flight(self) -> bool:
-        return bool(self.fetches)
-
     # -- search support --------------------------------------------------
 
     def committed_latency(self) -> int:
-        """Charged latency plus the already-determined cost of queued requests.
+        """Latency already determined: served requests plus queued ones.
 
         A queued request's serving fetch is fixed the moment it misses (the
         earliest same-item fetch then in flight), so this is exact, not a
-        bound, and makes a sharp branch-and-bound prune.
+        bound, and makes a sharp branch-and-bound prune. It is kept as a
+        running total, so reading it is O(1).
         """
-        total = self.charged
-        for item, t0 in self.pending:
-            earliest = min(rt for rt, it in self.fetches.items() if it == item)
-            total += earliest - t0 + 1
-        return total
+        return self.committed
 
     def clone(self) -> "Simulation":
         twin = object.__new__(Simulation)
         twin.params = self.params
         twin.t = self.t
-        twin.cache = set(self.cache)
-        twin.pending = list(self.pending)
-        twin.fetches = dict(self.fetches)
-        twin.hit_bits = list(self.hit_bits)
-        twin.per_request_latency = list(self.per_request_latency)
-        twin.eviction_sequence = list(self.eviction_sequence)
-        twin.cache_history = list(self.cache_history)
-        twin.charged = self.charged
-        twin.last_served = list(self.last_served)
+        twin.cache = self.cache.copy()
+        twin.pending = self.pending.copy()
+        twin.fetches = self.fetches.copy()
+        twin.fetch_times = self.fetch_times.copy()
+        twin.hit_bits = self.hit_bits[:]
+        twin.per_request_latency = self.per_request_latency[:]
+        twin.eviction_sequence = self.eviction_sequence[:]
+        twin.insertions = self.insertions
+        twin.committed = self.committed
+        twin.last_served = self.last_served
         return twin
 
     def result(self) -> SimulationResult:
         assert not self.fetches, "run not drained"
-        assert all(lat is not None for lat in self.per_request_latency)
+        insertions = []
+        chain = self.insertions
+        while chain is not None:
+            item, chain = chain
+            insertions.append(item)
+        insertions.reverse()
+        total = sum(self.per_request_latency)
+        assert total == self.committed
         return SimulationResult(
             hit_sequence=list(self.hit_bits),
             per_request_latency=list(self.per_request_latency),
             eviction_sequence=list(self.eviction_sequence),
-            cache_history=list(self.cache_history),
-            total_latency=sum(self.per_request_latency),
+            total_latency=total,
+            initial_cache=self.params.initial_cache(),
+            insertions=insertions,
         )
 
 

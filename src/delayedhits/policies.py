@@ -3,8 +3,9 @@
 Policies are stateful, single-run objects: the simulator resets them,
 feeds them every request phase through ``observe`` (idle slots included),
 and asks ``choose_eviction`` whenever a fetch returns a non-resident
-item. Returning 0 declines to cache. All shipped policies break ties by
-smallest item id so runs are reproducible.
+item, showing it a read-only view of the resident set that is valid for
+that call only. Returning 0 declines to cache. All shipped policies break
+ties by smallest item id so runs are reproducible.
 
 The exhaustive searches (offline optimum, hit-sequence feasibility) are
 depth-first over the eviction decisions with branch-and-bound pruning.
@@ -15,7 +16,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush, heapreplace
 
 from .model import ModelParams, Simulation, validate_sequence
 from .latency import normalize_hit_bits
@@ -40,25 +43,49 @@ class Policy:
     def observe(self, t: int, item: int, hit) -> None:
         pass
 
-    def choose_eviction(self, t: int, item: int, cache: frozenset[int]) -> int:
+    def choose_eviction(self, t: int, item: int, cache: AbstractSet[int]) -> int:
         return 0
 
 
 class LruPolicy(Policy):
-    """Evict the resident item whose most recent request is oldest."""
+    """Evict the resident item whose most recent request is oldest.
+
+    Never-requested residents rank oldest and ties go to the smaller id:
+    the victim is the resident with the smallest (last request, id). A
+    heap holds each resident's key. A hit pushes the item's new key and
+    leaves the old one stale, an insertion takes the victim's slot, and
+    stale keys are dropped when they reach the top or when the heap
+    outgrows twice the cache, so requests and decisions cost O(log k).
+    """
 
     name = "lru"
 
     def reset(self, params):
         self.last_request = {}
+        self.heap = [(0, j) for j in sorted(params.initial_cache())]
+        self.compact_at = 2 * params.cache_size
 
     def observe(self, t, item, hit):
-        if item != 0:
-            self.last_request[item] = t
+        if item == 0:
+            return
+        self.last_request[item] = t
+        if hit:
+            heappush(self.heap, (t, item))
+            if len(self.heap) > self.compact_at:
+                last = self.last_request
+                self.heap = [key for key in self.heap if last.get(key[1], 0) == key[0]]
+                heapify(self.heap)
 
     def choose_eviction(self, t, item, cache):
-        # never-requested items rank oldest; ties go to the smaller id
-        return min(cache, key=lambda j: (self.last_request.get(j, 0), j))
+        heap = self.heap
+        last = self.last_request
+        while True:
+            stamp, victim = heap[0]
+            if victim in cache and last.get(victim, 0) == stamp:
+                break
+            heappop(heap)
+        heapreplace(heap, (last.get(item, 0), item))
+        return victim
 
 
 class FifoPolicy(Policy):
@@ -259,7 +286,7 @@ def brute_force_opt(params, sequence, node_budget=DEFAULT_SEARCH_BUDGET) -> OptR
                     explore(branch)
                 sim.apply_eviction(returned, choices[-1])
         sim.drain()
-        total = sim.charged
+        total = sim.committed
         if best["total"] is None or total < best["total"]:
             best["total"] = total
             best["evictions"] = list(sim.eviction_sequence)
@@ -292,7 +319,7 @@ def optimal_hit_sequences(
                     explore(branch)
                 sim.apply_eviction(returned, choices[-1])
         sim.drain()
-        total = sim.charged
+        total = sim.committed
         if state["total"] is None or total < state["total"]:
             state["total"] = total
             state["optima"] = {tuple(sim.hit_bits)}

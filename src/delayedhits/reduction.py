@@ -88,7 +88,7 @@ class ReductionPolicy(Policy):
         returned = self.inner.retrieval_serve()
         if self.inner.needs_decision(returned):
             choice = self.inner_policy.choose_eviction(
-                self.inner.t, returned, frozenset(self.inner.cache)
+                self.inner.t, returned, self.inner.cache.keys()
             )
             self.inner.apply_eviction(returned, choice)
         self.retrieval_due = False

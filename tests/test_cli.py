@@ -201,6 +201,25 @@ def test_check_suites_pass(capsys, suite, cases):
     assert report["results"]["passed"] == cases
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--cases", "0"),
+        ("--cases", "-3"),
+        ("--idle-prob", "2"),
+        ("--idle-prob", "1"),
+        ("--idle-prob", "-0.1"),
+        ("--idle-prob", "nan"),
+    ],
+)
+def test_check_rejects_vacuous_sweeps(capsys, flag, value):
+    code = main(["check", "--suite", "latency", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_check_output_is_deterministic(capsys):
     main(["check", "--suite", "latency", "--cases", "15", "--seed", "3"])
     first = capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Core state-machine semantics: phases, serving, draining, replay."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from delayedhits import (
     InfeasibleEvictionError,
     ModelParams,
     lru_policy,
+    make_policy,
     never_cache_policy,
     replay,
     simulate,
@@ -192,3 +194,20 @@ def test_empty_trace():
     result = simulate(ModelParams(2, 1, 3), [], lru_policy())
     assert result.total_latency == 0
     assert result.cache_history == [frozenset({1})]
+
+
+@pytest.mark.parametrize("policy", ["lru", "fifo"])
+def test_huge_sparse_ids_allocate_nothing_per_id(policy):
+    # ids are unbounded: nothing may be sized by an id's value
+    huge = 99999999999
+    rng = random.Random(8)
+    seq = [rng.choice([0, 1, 2, 3, 5, huge - 1, huge]) for _ in range(1000)]
+    params = ModelParams(10**11, 3, 4)
+    tracemalloc.start()
+    try:
+        run = simulate(params, seq, make_policy(policy))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert huge in run.final_cache() or huge in run.eviction_sequence
+    assert peak < 1_000_000

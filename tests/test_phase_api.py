@@ -1,0 +1,121 @@
+"""Stateful test of the split phase API against a naive reference model.
+
+Hypothesis drives ``request_phase`` / ``retrieval_serve`` /
+``apply_eviction`` with random requests and random feasible and
+infeasible evictions. The test keeps its own model of the run: a plain
+list of queued (item, request time) pairs, a return-time -> item map of
+fetches, and one cache snapshot per step. After every step it checks the
+simulator against that model; the committed latency is recomputed with a
+full scan, charging each queued request up to the earliest same-item
+fetch in flight.
+"""
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+from delayedhits import (
+    ANTIMONOTONE,
+    STANDARD,
+    InfeasibleEvictionError,
+    ModelParams,
+    Simulation,
+    antimonotone_latency,
+    delayed_hits_latency,
+)
+
+
+class PhaseMachine(RuleBasedStateMachine):
+    @initialize(
+        k=st.integers(1, 4),
+        extra=st.integers(1, 4),
+        delay=st.integers(1, 6),
+        mode=st.sampled_from([STANDARD, ANTIMONOTONE]),
+    )
+    def start(self, k, extra, delay, mode):
+        self.params = ModelParams(k + extra, k, delay, mode)
+        self.sim = Simulation(self.params)
+        self.sequence = []
+        self.cache = set(range(1, k + 1))
+        self.queued = []          # (item, request time)
+        self.fetches = {}         # return time -> item
+        self.charged = 0
+        self.snapshots = [frozenset(self.cache)]
+
+    def _dispatch(self, item, t):
+        self.fetches[t + self.params.delay - 1] = item
+
+    @rule(data=st.data())
+    def step(self, data):
+        item = data.draw(st.integers(0, self.params.num_items), label="item")
+        self.sequence.append(item)
+        t = len(self.sequence)
+
+        hit = self.sim.request_phase(item)
+        if item == 0:
+            assert hit is None
+        else:
+            assert hit == (item in self.cache)
+            if not hit:
+                self.queued.append((item, t))
+            if not hit or self.params.mode == ANTIMONOTONE:
+                self._dispatch(item, t)
+
+        returned = self.sim.retrieval_serve()
+        assert returned == self.fetches.pop(t, None)
+        served = tuple((t0, t - t0 + 1) for it, t0 in self.queued if it == returned)
+        assert self.sim.last_served == served
+        self.charged += sum(latency for _, latency in served)
+        self.queued = [(it, t0) for it, t0 in self.queued if it != returned]
+
+        decision = returned is not None and returned not in self.cache
+        assert self.sim.needs_decision(returned) == decision
+        outsiders = [j for j in range(1, self.params.num_items + 1) if j not in self.cache]
+        wrong = data.draw(st.sampled_from(outsiders), label="infeasible eviction")
+        if data.draw(st.booleans(), label="try infeasible eviction"):
+            # a non-resident victim, or any victim without a decision point
+            attempt = wrong if decision else data.draw(
+                st.sampled_from(sorted(self.cache) + [wrong]), label="victim"
+            )
+            try:
+                self.sim.apply_eviction(returned, attempt)
+            except InfeasibleEvictionError as exc:
+                assert exc.timestep == t and exc.item == attempt
+            else:
+                raise AssertionError(f"eviction of {attempt} at t={t} was accepted")
+        if decision:
+            victim = data.draw(st.sampled_from([0] + sorted(self.cache)), label="victim")
+            self.sim.apply_eviction(returned, victim)
+            if victim:
+                self.cache.remove(victim)
+                self.cache.add(returned)
+        self.snapshots.append(frozenset(self.cache))
+
+    @invariant()
+    def matches_reference(self):
+        assert len(self.sim.cache) == self.params.cache_size
+        assert set(self.sim.cache) == self.cache
+        committed = self.charged + sum(
+            min(rt for rt, it in self.fetches.items() if it == item) - t0 + 1
+            for item, t0 in self.queued
+        )
+        assert self.sim.committed_latency() == committed
+
+        # drain a clone: the original run continues unaffected
+        twin = self.sim.clone()
+        twin.drain()
+        result = twin.result()
+        assert result.cache_history == self.snapshots
+        assert result.final_cache() == self.snapshots[-1]
+        closed_form = (
+            antimonotone_latency if self.params.mode == ANTIMONOTONE else delayed_hits_latency
+        )
+        total, per = closed_form(self.sequence, self.params.delay, result.hit_sequence)
+        assert (total, per) == (result.total_latency, result.per_request_latency)
+        assert twin.committed_latency() == total
+
+
+PhaseMachine.TestCase.settings = settings(
+    max_examples=120, stateful_step_count=40, deadline=None
+)
+TestPhaseApi = PhaseMachine.TestCase
