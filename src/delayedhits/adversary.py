@@ -80,6 +80,9 @@ def build_adversarial_sequence(policy, params: ModelParams, cap=None) -> Adversa
         raise ValueError("adversary needs at least k+1 items in the universe")
     if cap is None:
         cap = 10 * k
+    if cap < 1:
+        # no bursty segment leaves a trace both schedules miss once: ratio 1
+        raise ValueError(f"cap must be at least 1 bursty segment, got {cap}")
     candidates = set(range(1, k + 2))
 
     segments = [pure_segment(k + 1, delay)]

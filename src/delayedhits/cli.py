@@ -91,10 +91,17 @@ def cmd_simulate(args):
     return report_params, results, EXIT_OK
 
 
+def _check_search_budget(args):
+    # a budget of 0 admits no decision node; a negative one is meaningless
+    if args.search_budget < 0:
+        raise ValueError(f"--search-budget must be >= 0, got {args.search_budget}")
+
+
 def cmd_adversary(args):
     params = ModelParams(args.n if args.n is not None else args.k + 1, args.k, args.Z)
     if args.policy == "belady":
         raise ValueError("the adversary targets online policies; belady is offline")
+    _check_search_budget(args)
     policy = _policy_for(args, cache_size=args.k)
     report = build_adversarial_sequence(policy, params, cap=args.cap)
     if args.trace_out:
@@ -136,6 +143,7 @@ def cmd_adversary(args):
 
 
 def cmd_counterexample(args):
+    _check_search_budget(args)
     cspec = counterexample_sequence(args.Z, args.k)
     if args.trace_out:
         write_trace(args.trace_out, cspec.sequence)

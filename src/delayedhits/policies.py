@@ -7,18 +7,29 @@ item, showing it a read-only view of the resident set that is valid for
 that call only. Returning 0 declines to cache. All shipped policies break
 ties by smallest item id so runs are reproducible.
 
-The exhaustive searches (offline optimum, hit-sequence feasibility) are
-depth-first over the eviction decisions with branch-and-bound pruning.
-They are exact and refuse oversized instances instead of approximating.
+The three exhaustive searches (the optimum, every optimal hit sequence,
+hit-sequence feasibility) run one depth-first kernel over the eviction
+decisions: decline first, then each resident in ascending order. A
+branch is cut once a lower bound on its total (the committed latency
+plus that of the future requests that miss whatever is evicted later)
+reaches the best total found, keeping the first witness, or exceeds it,
+keeping ties. A transposition table maps (t, cache, fetches in flight),
+which fixes every future cost and hit bit, to the least committed
+latency seen there, and cuts revisits that can do no better, or every
+revisit when only the first feasible schedule is wanted. Past the start
+it holds at most k+1 entries per decision node, so the node budget
+bounds its memory. The searches are exact and refuse oversized instances.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from bisect import bisect_right
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
+from itertools import accumulate
 
 from .model import ModelParams, Simulation, validate_sequence
 from .latency import normalize_hit_bits
@@ -242,125 +253,113 @@ class OptResult:
     min_latency: int
     witness_evictions: list[int]
     witness_hits: list[int]
+    nodes: int = 0              # decision nodes the search visited
 
 
-class _Budget:
-    def __init__(self, limit):
-        self.limit = limit
-        self.nodes = 0
+def _forced_latency(params, sequence):
+    """f(sim): the latency of the future requests no schedule can avoid.
 
-    def spend(self):
-        self.nodes += 1
-        if self.nodes > self.limit:
-            raise SearchBudgetExceeded(
-                f"instance too large: more than {self.limit} decision nodes"
-            )
+    A non-resident item stays out until a fetch of it returns at some r:
+    the one in flight, or else the one its next request s1 dispatches,
+    r = s1 + delay - 1. Its requests at s in (t, r] cost r - s + 1 each,
+    summed in O(log T) per item from its request times and prefix sums.
+    """
+    times_of = BeladyPolicy(sequence).positions
+    table = [(item, times, [0, *accumulate(times)]) for item, times in times_of.items()]
+
+    def forced(sim):
+        total = 0
+        for item, times, prefix in table:
+            lo = bisect_right(times, sim.t)
+            if item in sim.cache or lo == len(times):
+                continue
+            flight = sim.fetch_times.get(item)
+            end = flight[0] if flight else times[lo] + params.delay - 1
+            hi = bisect_right(times, end, lo)
+            total += (hi - lo) * (end + 1) - (prefix[hi] - prefix[lo])
+        return total
+
+    return forced
+
+
+def _search(params, sequence, node_budget, cut, target=None):
+    """The search kernel: (least total, {hit bits: evictions} attaining it, nodes).
+
+    ``cut(bound, best)`` is ``operator.ge`` for the first optimum, ``operator.gt``
+    for every optimum, or None to stop at the first run that realizes ``target``.
+    """
+    validate_sequence(params, sequence)
+    if target is not None:
+        target = normalize_hit_bits(sequence, target)
+    forced = _forced_latency(params, sequence) if cut else None
+    seen, optima = {}, {}
+    nodes, best = 0, _NEVER
+
+    def explore(sim, returned=None, choice=0):
+        """Take ``choice`` at the decision ``sim`` is paused at, then run on,
+        taking the last choice of each later decision in place."""
+        nonlocal nodes, best
+        while True:
+            sim.apply_eviction(returned, choice)
+            key = (sim.t, frozenset(sim.cache), frozenset(sim.fetches.items()))
+            stored = seen.get(key)
+            if stored is not None and (cut is None or cut(sim.committed, stored)):
+                return False
+            seen[key] = sim.committed
+            if cut and cut(sim.committed + forced(sim), best):
+                return False
+            while sim.t < len(sequence):
+                pos = sim.t
+                sim.request_phase(sequence[pos])
+                if target is not None and sim.hit_bits[pos] != target[pos]:
+                    return False
+                returned = sim.retrieval_serve()
+                if cut and cut(sim.committed, best):
+                    return False
+                if sim.needs_decision(returned):
+                    break
+            else:
+                sim.drain()
+                # a run the cut lets through beats every run before it, or ties under >
+                if sim.committed < best:
+                    best = sim.committed
+                    optima.clear()
+                optima.setdefault(tuple(sim.hit_bits), sim.eviction_sequence)
+                return cut is None
+            nodes += 1
+            if nodes > node_budget:
+                raise SearchBudgetExceeded(
+                    f"instance too large: more than {node_budget} decision nodes"
+                )
+            *choices, choice = 0, *sorted(sim.cache)
+            for other in choices:
+                if explore(sim.clone(), returned, other):
+                    return True
+
+    explore(Simulation(params))
+    return best, optima, nodes
 
 
 def brute_force_opt(params, sequence, node_budget=DEFAULT_SEARCH_BUDGET) -> OptResult:
-    """Exact minimum latency over every feasible eviction schedule.
-
-    Depth-first over the decision points (a fetch returning a
-    non-resident item), in time order, branching over declining and each
-    resident item. Prunes branches whose already-determined latency
-    reaches the incumbent, which keeps the first minimum found and makes
-    the witness canonical (decline is explored first, then residents in
-    ascending order).
-    """
-    validate_sequence(params, sequence)
-    budget = _Budget(node_budget)
-    best = {"total": None, "evictions": None, "hits": None}
-
-    def explore(sim):
-        while sim.t < len(sequence):
-            sim.request_phase(sequence[sim.t])
-            returned = sim.retrieval_serve()
-            if best["total"] is not None and sim.committed_latency() >= best["total"]:
-                return
-            if sim.needs_decision(returned):
-                budget.spend()
-                choices = [0] + sorted(sim.cache)
-                for choice in choices[:-1]:
-                    branch = sim.clone()
-                    branch.apply_eviction(returned, choice)
-                    explore(branch)
-                sim.apply_eviction(returned, choices[-1])
-        sim.drain()
-        total = sim.committed
-        if best["total"] is None or total < best["total"]:
-            best["total"] = total
-            best["evictions"] = list(sim.eviction_sequence)
-            best["hits"] = list(sim.hit_bits)
-
-    explore(Simulation(params))
-    return OptResult(best["total"], best["evictions"], best["hits"])
+    """Exact minimum latency over every feasible eviction schedule, with
+    the first optimal schedule in search order as the canonical witness."""
+    total, optima, nodes = _search(params, sequence, node_budget, operator.ge)
+    ((hits, evictions),) = optima.items()
+    return OptResult(total, evictions, list(hits), nodes)
 
 
 def optimal_hit_sequences(
     params, sequence, node_budget=DEFAULT_SEARCH_BUDGET
 ) -> tuple[int, set[tuple[int, ...]]]:
     """The optimum plus every hit sequence that attains it."""
-    validate_sequence(params, sequence)
-    budget = _Budget(node_budget)
-    state = {"total": None, "optima": set()}
-
-    def explore(sim):
-        while sim.t < len(sequence):
-            sim.request_phase(sequence[sim.t])
-            returned = sim.retrieval_serve()
-            if state["total"] is not None and sim.committed_latency() > state["total"]:
-                return
-            if sim.needs_decision(returned):
-                budget.spend()
-                choices = [0] + sorted(sim.cache)
-                for choice in choices[:-1]:
-                    branch = sim.clone()
-                    branch.apply_eviction(returned, choice)
-                    explore(branch)
-                sim.apply_eviction(returned, choices[-1])
-        sim.drain()
-        total = sim.committed
-        if state["total"] is None or total < state["total"]:
-            state["total"] = total
-            state["optima"] = {tuple(sim.hit_bits)}
-        elif total == state["total"]:
-            state["optima"].add(tuple(sim.hit_bits))
-
-    explore(Simulation(params))
-    return state["total"], state["optima"]
+    total, optima, _ = _search(params, sequence, node_budget, operator.gt)
+    return total, set(optima)
 
 
 def is_hit_sequence_feasible(
     params, sequence, bits, node_budget=DEFAULT_SEARCH_BUDGET
 ) -> tuple[bool, list[int] | None]:
-    """Search for an eviction schedule whose run realizes exactly ``bits``.
-
-    Returns (True, witness eviction sequence) or (False, None). Branches
-    are cut as soon as a simulated hit bit deviates from the target, so
-    the search is goal-directed.
-    """
-    validate_sequence(params, sequence)
-    target = normalize_hit_bits(sequence, bits)
-    budget = _Budget(node_budget)
-
-    def explore(sim):
-        while sim.t < len(sequence):
-            pos = sim.t
-            sim.request_phase(sequence[pos])
-            if sim.hit_bits[pos] != target[pos]:
-                return None
-            returned = sim.retrieval_serve()
-            if sim.needs_decision(returned):
-                budget.spend()
-                choices = [0] + sorted(sim.cache)
-                for choice in choices[:-1]:
-                    branch = sim.clone()
-                    branch.apply_eviction(returned, choice)
-                    witness = explore(branch)
-                    if witness is not None:
-                        return witness
-                sim.apply_eviction(returned, choices[-1])
-        return list(sim.eviction_sequence)
-
-    witness = explore(Simulation(params))
-    return witness is not None, witness
+    """Search for an eviction schedule whose run realizes exactly ``bits``:
+    (True, the first such schedule in search order) or (False, None)."""
+    _, found, _ = _search(params, sequence, node_budget, None, bits)
+    return (True, *found.values()) if found else (False, None)

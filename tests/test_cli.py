@@ -220,6 +220,23 @@ def test_check_rejects_vacuous_sweeps(capsys, flag, value):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["adversary", "--cap", "0"],
+        ["adversary", "--cap", "-3"],
+        ["adversary", "--oracle-check", "--search-budget", "-1"],
+        ["counterexample", "-Z", "6", "--oracle-check", "--search-budget", "-1"],
+    ],
+)
+def test_search_commands_reject_vacuous_limits(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_check_output_is_deterministic(capsys):
     main(["check", "--suite", "latency", "--cases", "15", "--seed", "3"])
     first = capsys.readouterr().out

@@ -8,6 +8,7 @@ from delayedhits import (
     ModelParams,
     belady_classical,
     brute_force_opt,
+    counterexample_sequence,
     fifo_policy,
     is_hit_sequence_feasible,
     lru_policy,
@@ -209,3 +210,22 @@ def test_search_budget_is_enforced():
         brute_force_opt(params, seq, node_budget=3)
     with pytest.raises(SearchBudgetExceeded):
         is_hit_sequence_feasible(params, seq, [0] * len(seq), node_budget=1)
+
+
+def test_search_node_count_on_counterexample():
+    # the forced-latency bound and the transposition table take it in 32
+    # decision nodes; the committed-latency prune alone needs 38
+    spec = counterexample_sequence(26, 7)
+    opt = brute_force_opt(spec.params(), list(spec.sequence))
+    assert opt.min_latency == 169
+    assert 0 < opt.nodes <= 32
+
+
+def test_last_choice_runs_in_place():
+    # every decision's witness choice is the last one (evict the resident),
+    # 1200 of them in a row: a recursion per decision would overflow the stack
+    params = ModelParams(2, 1, 1)
+    seq = [2, 1] * 600
+    feasible, witness = is_hit_sequence_feasible(params, seq, [0] * len(seq))
+    assert feasible
+    assert replay(params, seq, witness).hit_sequence == [0] * len(seq)

@@ -1,0 +1,128 @@
+"""Differential tests: the pruned search kernel against plain enumeration.
+
+The oracle runs every eviction schedule to the end, with no bound and no
+transposition table, in the kernel's branch order (decline first, then
+residents in ascending order). The canonical witnesses are therefore the
+first matching schedules in the oracle's list.
+"""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from delayedhits import (
+    ANTIMONOTONE,
+    STANDARD,
+    ModelParams,
+    Simulation,
+    brute_force_opt,
+    is_hit_sequence_feasible,
+    optimal_hit_sequences,
+)
+from delayedhits.latency import normalize_hit_bits
+from delayedhits.policies import RandomEvictionPolicy, _forced_latency
+
+
+def every_schedule(params, sequence):
+    """(total, evictions, hits) of every schedule's run, in branch order,
+    and the number of decision points in the whole tree."""
+    runs = []
+    decisions = 0
+
+    def run_on(sim):
+        nonlocal decisions
+        while sim.t < len(sequence):
+            sim.request_phase(sequence[sim.t])
+            returned = sim.retrieval_serve()
+            if sim.needs_decision(returned):
+                decisions += 1
+                for choice in [0, *sorted(sim.cache)]:
+                    branch = sim.clone()
+                    branch.apply_eviction(returned, choice)
+                    run_on(branch)
+                return
+        sim.drain()
+        runs.append((sim.committed, list(sim.eviction_sequence), list(sim.hit_bits)))
+
+    run_on(Simulation(params))
+    return runs, decisions
+
+
+@st.composite
+def tiny_instances(draw, max_length=8):
+    k = draw(st.integers(1, 2))
+    n = k + draw(st.integers(1, 3))
+    delay = draw(st.integers(1, 4))
+    mode = draw(st.sampled_from([STANDARD, ANTIMONOTONE]))
+    sequence = draw(st.lists(st.integers(0, n), max_size=max_length))
+    return ModelParams(n, k, delay, mode), sequence
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiny_instances())
+# instances on which a wrong transposition table shows: a revisit with equal
+# committed latency but other hit bits, and states that differ only in
+# their fetches in flight
+@example((ModelParams(4, 1, 1), [2, 3, 3, 2, 1]))
+@example((ModelParams(4, 1, 6), [1, 2, 4, 0, 3, 1, 2, 1, 0, 2, 1, 3]))
+@example((ModelParams(4, 1, 6), [1, 1, 2, 3, 3, 4, 3, 1, 3, 2, 1, 3, 1, 4]))
+def test_optimum_and_optima_match_enumeration(instance):
+    params, sequence = instance
+    runs, decisions = every_schedule(params, sequence)
+    least = min(total for total, _, _ in runs)
+    first = next(run for run in runs if run[0] == least)
+
+    opt = brute_force_opt(params, sequence)
+    assert (opt.min_latency, opt.witness_evictions, opt.witness_hits) == first
+    assert min(decisions, 1) <= opt.nodes <= decisions
+
+    total, optima = optimal_hit_sequences(params, sequence)
+    assert total == least
+    assert optima == {tuple(hits) for t, _, hits in runs if t == least}
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiny_instances(), st.data())
+def test_feasibility_matches_enumeration(instance, data):
+    params, sequence = instance
+    runs, _ = every_schedule(params, sequence)
+    first_schedule = {}
+    for _, evictions, hits in runs:
+        first_schedule.setdefault(tuple(hits), evictions)
+
+    for hits, evictions in first_schedule.items():
+        assert is_hit_sequence_feasible(params, sequence, list(hits)) == (True, evictions)
+
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=len(sequence),
+                              max_size=len(sequence)))
+    expected = first_schedule.get(tuple(normalize_hit_bits(sequence, bits)))
+    assert is_hit_sequence_feasible(params, sequence, bits) == (
+        expected is not None, expected
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiny_instances(max_length=14), st.integers(0, 2**30))
+def test_forced_latency_bound_is_admissible(instance, seed):
+    """committed + forced never overestimates: not at any step of any run,
+    and not at the root, where it must stay at or below the optimum."""
+    params, sequence = instance
+    forced = _forced_latency(params, sequence)
+    sim = Simulation(params)
+    assert forced(sim) <= brute_force_opt(params, sequence).min_latency
+
+    policy = RandomEvictionPolicy(seed)
+    policy.reset(params)
+    bounds = [forced(sim)]
+    for item in sequence:
+        hit = sim.request_phase(item)
+        policy.observe(sim.t, item, hit)
+        returned = sim.retrieval_serve()
+        if sim.needs_decision(returned):
+            choice = policy.choose_eviction(sim.t, returned, sim.cache.keys())
+            sim.apply_eviction(returned, choice)
+        bounds.append(sim.committed + forced(sim))
+    sim.drain()
+    total = sim.result().total_latency
+    assert all(bound <= total for bound in bounds)
+    # what is forced stays forced, so the bound only tightens along a run
+    assert bounds == sorted(bounds)
