@@ -16,7 +16,11 @@ from fractions import Fraction
 
 from . import __version__
 from .adversary import build_adversarial_sequence
-from .counterexample import counterexample_sequence, verify_nonantimonotonicity
+from .counterexample import (
+    counterexample_sequence,
+    verify_nonantimonotonicity,
+    verify_unique_optimum,
+)
 from .latency import antimonotone_latency, delayed_hits_latency
 from .model import (
     ANTIMONOTONE,
@@ -35,7 +39,14 @@ from .policies import (
     make_policy,
 )
 from .reduction import verify_domination
-from .traces import TraceError, infer_num_items, random_sequence, read_trace, write_trace
+from .traces import (
+    TraceError,
+    draw_instance,
+    infer_num_items,
+    random_sequence,
+    read_trace,
+    write_trace,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -148,15 +159,14 @@ def cmd_counterexample(args):
     if args.trace_out:
         write_trace(args.trace_out, cspec.sequence)
     code = EXIT_OK
-    try:
-        report = verify_nonantimonotonicity(
-            cspec, check_optimal=args.oracle_check, node_budget=args.search_budget
-        )
-    except SearchBudgetExceeded:
-        report = verify_nonantimonotonicity(
-            cspec, check_optimal=False, node_budget=args.search_budget
-        )
-        code = EXIT_BUDGET
+    report = verify_nonantimonotonicity(
+        cspec, check_optimal=False, node_budget=args.search_budget
+    )
+    if args.oracle_check:
+        try:
+            verify_unique_optimum(report, args.search_budget)
+        except SearchBudgetExceeded:
+            code = EXIT_BUDGET
     results = {
         "sequence": list(cspec.sequence),
         "baseline_bits": list(cspec.baseline_bits),
@@ -208,13 +218,6 @@ def cmd_reduce(args):
     )
 
 
-def _draw_params(rng):
-    k = rng.randint(1, 4)
-    delay = rng.randint(1, 8)
-    n = k + rng.randint(1, 4)
-    return k, delay, n
-
-
 def _draw_policy(rng, sequence, k, n, case_seed):
     name = rng.choice(["lru", "fifo", "never", "belady", "static", "random"])
     if name == "belady":
@@ -232,8 +235,7 @@ def _check_latency(rng, cases, idle_prob):
     failures = 0
     first = None
     for case in range(cases):
-        k, delay, n = _draw_params(rng)
-        sequence = random_sequence(rng, n, rng.randint(1, 50), idle_prob)
+        k, delay, n, sequence = draw_instance(rng, idle_prob=idle_prob)
         policy = _draw_policy(rng, sequence, k, n, case_seed=rng.randrange(2**30))
         for mode, closed_form in (
             (STANDARD, delayed_hits_latency),
@@ -356,10 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trace=False, policy=True):
+    def common(p, trace=False, policy=True, universe=True):
         if trace:
             p.add_argument("trace", help="trace file: one item per line, 0 = idle")
-        p.add_argument("-n", type=int, default=None, help="item universe size")
+        if universe:
+            p.add_argument("-n", type=int, default=None, help="item universe size")
         p.add_argument("-k", type=int, default=2, help="cache capacity")
         p.add_argument("-Z", type=int, default=4, help="backing-store fetch delay")
         if policy:
@@ -387,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cex = sub.add_parser(
         "counterexample", help="build and verify the extra-hit-hurts trace"
     )
-    common(p_cex, policy=False)
+    # the construction fixes its own universe, k + 2 items
+    common(p_cex, policy=False, universe=False)
     p_cex.add_argument("--oracle-check", action="store_true")
     p_cex.add_argument("--search-budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p_cex.add_argument("--trace-out", default=None, help="also write the trace here")

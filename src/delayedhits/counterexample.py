@@ -137,8 +137,8 @@ class NonAntimonotonicityReport:
     extra_hit_witness: list[int]
     fetch_on_hit_baseline: int
     fetch_on_hit_extra: int
-    opt_latency: int | None
-    opt_unique: bool | None
+    opt_latency: int | None = None     # set by verify_unique_optimum
+    opt_unique: bool | None = None
 
 
 def verify_nonantimonotonicity(
@@ -150,8 +150,9 @@ def verify_nonantimonotonicity(
 
     Verifies the one-bit domination structure, the exact latency gap,
     feasibility of both vectors (by independent search), immunity of the
-    fetch-on-hit model, and optionally that the baseline vector is the
-    unique optimum (by exhaustive search).
+    fetch-on-hit model, and optionally, through
+    :func:`verify_unique_optimum`, that the baseline vector is the unique
+    optimum.
     """
     seq, delay = list(cspec.sequence), cspec.delay
     b, b_hi = list(cspec.baseline_bits), list(cspec.extra_hit_bits)
@@ -187,23 +188,7 @@ def verify_nonantimonotonicity(
             "fetch-on-hit latency increased under the extra hit; it must not"
         )
 
-    opt_latency = None
-    opt_unique = None
-    if check_optimal:
-        opt = brute_force_opt(params, seq, node_budget)
-        opt_latency = opt.min_latency
-        if opt_latency != low:
-            raise VerificationError(
-                f"exhaustive optimum {opt_latency} != baseline latency {low}"
-            )
-        _, optima = optimal_hit_sequences(params, seq, node_budget)
-        opt_unique = optima == {tuple(b)}
-        if not opt_unique:
-            raise VerificationError(
-                f"baseline is not the unique optimal hit sequence; found {len(optima)}"
-            )
-
-    return NonAntimonotonicityReport(
+    report = NonAntimonotonicityReport(
         spec=cspec,
         baseline_latency=low,
         extra_hit_latency=high,
@@ -212,6 +197,33 @@ def verify_nonantimonotonicity(
         extra_hit_witness=witness_high,
         fetch_on_hit_baseline=anti_low,
         fetch_on_hit_extra=anti_high,
-        opt_latency=opt_latency,
-        opt_unique=opt_unique,
     )
+    if check_optimal:
+        verify_unique_optimum(report, node_budget)
+    return report
+
+
+def verify_unique_optimum(
+    report: NonAntimonotonicityReport, node_budget: int = DEFAULT_SEARCH_BUDGET
+) -> NonAntimonotonicityReport:
+    """Check by exhaustive search that the baseline vector is the unique optimum.
+
+    Fills in ``report.opt_latency`` and ``report.opt_unique`` once both
+    searches pass and returns the report. If a search raises, the report
+    is left as it was, so a caller that catches
+    :class:`SearchBudgetExceeded` keeps the rest of the evidence.
+    """
+    cspec = report.spec
+    params, seq = cspec.params(), list(cspec.sequence)
+    opt_latency = brute_force_opt(params, seq, node_budget).min_latency
+    if opt_latency != report.baseline_latency:
+        raise VerificationError(
+            f"exhaustive optimum {opt_latency} != baseline latency {report.baseline_latency}"
+        )
+    _, optima = optimal_hit_sequences(params, seq, node_budget)
+    if optima != {tuple(cspec.baseline_bits)}:
+        raise VerificationError(
+            f"baseline is not the unique optimal hit sequence; found {len(optima)}"
+        )
+    report.opt_latency, report.opt_unique = opt_latency, True
+    return report

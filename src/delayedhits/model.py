@@ -66,18 +66,6 @@ class ModelParams:
         return frozenset(range(1, self.cache_size + 1))
 
 
-@dataclass(slots=True)
-class StepRecord:
-    """What happened during one timestep."""
-
-    time: int
-    item: int
-    hit: bool | None            # None for idle slots
-    returned: int | None        # item that came back, if any
-    served: tuple[tuple[int, int], ...]  # (request time, charged latency) pairs
-    evicted: int                # 0 when nothing was evicted
-
-
 @dataclass
 class SimulationResult:
     """Everything observable from one complete run.
@@ -130,11 +118,11 @@ def validate_sequence(params: ModelParams, sequence) -> None:
 class Simulation:
     """The delayed-hits state machine, advanced one phase at a time.
 
-    ``step`` runs a full timestep and is what :func:`simulate` uses. The
-    split ``request_phase`` / ``retrieval_serve`` / ``apply_eviction``
-    entry points exist for callers that need to pause at eviction
-    decisions (the exhaustive searches) or to interleave two simulations
-    (the model reduction).
+    ``step`` runs a full timestep and returns the item that came back;
+    :func:`simulate`, :func:`replay` and the model reduction's shadow run
+    all drive it. The split ``request_phase`` / ``retrieval_serve`` /
+    ``apply_eviction`` entry points exist for the exhaustive searches,
+    which pause at eviction decisions and branch.
 
     Every structure is keyed by item or by time and holds only what is in
     flight, so one request costs O(1) amortised work and a run holds O(T)
@@ -242,26 +230,23 @@ class Simulation:
 
     # -- drivers ---------------------------------------------------------
 
-    def step(self, item: int, policy=None) -> StepRecord:
-        """Run one full timestep, consulting ``policy`` at a decision point."""
+    def step(self, item: int, policy=None) -> int | None:
+        """Run one full timestep, consulting ``policy`` at a decision point,
+        and return the item that came back (None if nothing did)."""
         hit = self.request_phase(item)
         if policy is not None:
             policy.observe(self.t, item, hit)
         returned = self.retrieval_serve()
-        evicted = 0
-        if self.needs_decision(returned) and policy is not None:
+        if policy is not None and self.needs_decision(returned):
             evicted = policy.choose_eviction(self.t, returned, self.cache.keys())
             self.apply_eviction(returned, evicted)
-        return StepRecord(self.t, item, hit, returned, self.last_served, evicted)
-
-    def drain_step(self) -> None:
-        """Retrieval-only timestep past the end of the trace; no decisions."""
-        self.t += 1
-        self.retrieval_serve()
+        return returned
 
     def drain(self) -> None:
+        """Retrieval-only timesteps past the end of the trace; no decisions."""
         while self.fetches:
-            self.drain_step()
+            self.t += 1
+            self.retrieval_serve()
 
     # -- search support --------------------------------------------------
 
@@ -330,37 +315,21 @@ def simulate(params: ModelParams, sequence, policy) -> SimulationResult:
     return sim.result()
 
 
-class _ReplayPolicy:
-    """Feeds a fixed eviction sequence back into the simulator."""
-
-    def __init__(self, evictions):
-        self.evictions = evictions
-
-    def reset(self, params):
-        pass
-
-    def observe(self, t, item, hit):
-        pass
-
-    def choose_eviction(self, t, item, cache):
-        return self.evictions[t - 1]
-
-
 def replay(params: ModelParams, sequence, evictions) -> SimulationResult:
     """Re-run a trace under a fixed eviction sequence, checking feasibility.
 
-    Raises :class:`InfeasibleEvictionError` if an eviction names an item
-    that is not resident at its retrieval phase, or falls on a timestep
-    with no insertion opportunity.
+    Each eviction is applied at its own timestep's retrieval phase, so
+    :class:`InfeasibleEvictionError` names the earliest infeasible one:
+    an item that is not resident then, or a timestep with no insertion
+    opportunity (nothing returned, or the returned item already resident).
     """
     if len(evictions) != len(sequence):
         raise ValueError(
             f"eviction sequence length {len(evictions)} != trace length {len(sequence)}"
         )
-    result = simulate(params, sequence, _ReplayPolicy(list(evictions)))
-    for pos, wanted in enumerate(evictions, start=1):
-        if wanted != 0 and result.eviction_sequence[pos - 1] != wanted:
-            raise InfeasibleEvictionError(
-                pos, wanted, "no insertion opportunity at this timestep"
-            )
-    return result
+    validate_sequence(params, sequence)
+    sim = Simulation(params)
+    for item, eviction in zip(sequence, evictions):
+        sim.apply_eviction(sim.step(item), eviction)
+    sim.drain()
+    return sim.result()

@@ -201,46 +201,38 @@ class RandomEvictionPolicy(Policy):
         return self.rng.choice([0] + sorted(cache))
 
 
-def lru_policy() -> Policy:
-    return LruPolicy()
+# the factory names the package has always exported
+lru_policy = LruPolicy
+fifo_policy = FifoPolicy
+never_cache_policy = NeverCachePolicy
+static_policy = StaticPolicy
+belady_classical = BeladyPolicy
 
-
-def fifo_policy() -> Policy:
-    return FifoPolicy()
-
-
-def never_cache_policy() -> Policy:
-    return NeverCachePolicy()
-
-
-def static_policy(items) -> Policy:
-    return StaticPolicy(items)
-
-
-def belady_classical(sequence) -> Policy:
-    return BeladyPolicy(sequence)
-
-
-POLICY_NAMES = ("lru", "fifo", "never", "static", "belady")
+# the CLI's policy names, in the order it lists them
+POLICIES = {
+    "lru": LruPolicy,
+    "fifo": FifoPolicy,
+    "never": NeverCachePolicy,
+    "static": StaticPolicy,
+    "belady": BeladyPolicy,
+}
+POLICY_NAMES = tuple(POLICIES)
 
 
 def make_policy(name, sequence=None, static_items=None) -> Policy:
     """Instantiate a policy by its public name (the CLI contract)."""
-    if name == "lru":
-        return lru_policy()
-    if name == "fifo":
-        return fifo_policy()
-    if name == "never":
-        return never_cache_policy()
-    if name == "static":
+    cls = POLICIES.get(name)
+    if cls is None:
+        raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
+    if cls is StaticPolicy:
         if static_items is None:
             raise ValueError("static policy needs a target item set")
-        return static_policy(static_items)
-    if name == "belady":
+        return cls(static_items)
+    if cls is BeladyPolicy:
         if sequence is None:
             raise ValueError("belady is offline and needs the full trace")
-        return belady_classical(sequence)
-    raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
+        return cls(sequence)
+    return cls()
 
 
 # -- exhaustive offline search ------------------------------------------
@@ -295,48 +287,57 @@ def _search(params, sequence, node_budget, cut, target=None):
     seen, optima = {}, {}
     nodes, best = 0, _NEVER
 
-    def explore(sim, returned=None, choice=0):
-        """Take ``choice`` at the decision ``sim`` is paused at, then run on,
-        taking the last choice of each later decision in place."""
-        nonlocal nodes, best
-        while True:
-            sim.apply_eviction(returned, choice)
-            key = (sim.t, frozenset(sim.cache), frozenset(sim.fetches.items()))
-            stored = seen.get(key)
-            if stored is not None and (cut is None or cut(sim.committed, stored)):
-                return False
-            seen[key] = sim.committed
-            if cut and cut(sim.committed + forced(sim), best):
-                return False
-            while sim.t < len(sequence):
-                pos = sim.t
-                sim.request_phase(sequence[pos])
-                if target is not None and sim.hit_bits[pos] != target[pos]:
-                    return False
-                returned = sim.retrieval_serve()
-                if cut and cut(sim.committed, best):
-                    return False
-                if sim.needs_decision(returned):
-                    break
-            else:
-                sim.drain()
-                # a run the cut lets through beats every run before it, or ties under >
-                if sim.committed < best:
-                    best = sim.committed
-                    optima.clear()
-                optima.setdefault(tuple(sim.hit_bits), sim.eviction_sequence)
-                return cut is None
-            nodes += 1
-            if nodes > node_budget:
-                raise SearchBudgetExceeded(
-                    f"instance too large: more than {node_budget} decision nodes"
-                )
-            *choices, choice = 0, *sorted(sim.cache)
-            for other in choices:
-                if explore(sim.clone(), returned, other):
-                    return True
+    def run(sim, returned, choice):
+        """Take ``choice`` at the decision ``sim`` is paused at and run on to
+        the next decision: the item returned there, or None once the branch
+        is cut or reaches its end."""
+        nonlocal best
+        sim.apply_eviction(returned, choice)
+        key = (sim.t, frozenset(sim.cache), frozenset(sim.fetches.items()))
+        stored = seen.get(key)
+        if stored is not None and (cut is None or cut(sim.committed, stored)):
+            return None
+        seen[key] = sim.committed
+        if cut and cut(sim.committed + forced(sim), best):
+            return None
+        while sim.t < len(sequence):
+            pos = sim.t
+            sim.request_phase(sequence[pos])
+            if target is not None and sim.hit_bits[pos] != target[pos]:
+                return None
+            returned = sim.retrieval_serve()
+            if cut and cut(sim.committed, best):
+                return None
+            if sim.needs_decision(returned):
+                return returned
+        sim.drain()
+        # a run the cut lets through beats every run before it, or ties under >
+        if sim.committed < best:
+            best = sim.committed
+            optima.clear()
+        optima.setdefault(tuple(sim.hit_bits), sim.eviction_sequence)
+        return None
 
-    explore(Simulation(params))
+    # depth first without recursion: each frame is a paused decision and
+    # its choices still to take, popped from the end; every choice but the
+    # last runs on a clone, the last on the paused run itself
+    stack = [(Simulation(params), None, [0])]
+    while stack and not (cut is None and optima):
+        sim, returned, choices = stack[-1]
+        choice = choices.pop()
+        if choices:
+            sim = sim.clone()
+        else:
+            stack.pop()
+        returned = run(sim, returned, choice)
+        if returned is None:
+            continue
+        nodes += 1
+        if nodes > node_budget:
+            raise SearchBudgetExceeded(
+                f"instance too large: more than {node_budget} decision nodes"
+            )
+        stack.append((sim, returned, [*sorted(sim.cache, reverse=True), 0]))
     return best, optima, nodes
 
 

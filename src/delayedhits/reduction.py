@@ -14,7 +14,7 @@ always exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import (
     ANTIMONOTONE,
@@ -30,40 +30,31 @@ from .policies import Policy
 def reduction_outer_params(inner_params: ModelParams, window=None) -> ModelParams:
     """Standard-model parameters for the wrapped policy (capacity k + window)."""
     w = inner_params.delay if window is None else window
-    return ModelParams(
-        inner_params.num_items,
-        inner_params.cache_size + w,
-        inner_params.delay,
-        STANDARD,
-    )
+    return replace(inner_params, cache_size=inner_params.cache_size + w, mode=STANDARD)
 
 
 class ReductionPolicy(Policy):
     """Standard-model policy that shadows a fetch-on-hit run of ``inner``.
 
     The inner simulation is advanced in lockstep with the observed
-    request stream: ``observe`` runs the inner request phase, and the
-    matching inner retrieval phase is completed lazily before the next
-    observation or before any eviction decision of the outer run, so the
-    protected set always reflects the inner cache at the current instant.
+    request stream: ``observe`` runs one full inner timestep, ``inner``'s
+    eviction decision included. The outer run asks for its own decision
+    after its request phase, so the protected set then reflects the inner
+    cache at the end of the same timestep.
 
     Evictions pick the smallest-id cached item outside the protected set
     (inner cache plus the recent-request window). With the default window
     of ``delay`` an unprotected victim provably always exists; with
     window=0 the wrapper degenerates to mirroring the inner cache and
-    declines whenever the mirror is already exact.
+    declines whenever the mirror is already exact. This is the policy B
+    built from A; run it under :func:`reduction_outer_params`.
     """
 
     name = "reduction"
 
     def __init__(self, inner_policy: Policy, inner_params: ModelParams, window=None):
         self.inner_policy = inner_policy
-        self.inner_params = ModelParams(
-            inner_params.num_items,
-            inner_params.cache_size,
-            inner_params.delay,
-            ANTIMONOTONE,
-        )
+        self.inner_params = replace(inner_params, mode=ANTIMONOTONE)
         self.window = inner_params.delay if window is None else window
         if self.window < 0:
             raise ValueError("window must be >= 0")
@@ -79,32 +70,15 @@ class ReductionPolicy(Policy):
             raise ValueError("outer and inner delay must match")
         self.inner_policy.reset(self.inner_params)
         self.inner = Simulation(self.inner_params)
-        self.retrieval_due = False
         self.last_request = {}
 
-    def _settle_inner(self):
-        if not self.retrieval_due:
-            return
-        returned = self.inner.retrieval_serve()
-        if self.inner.needs_decision(returned):
-            choice = self.inner_policy.choose_eviction(
-                self.inner.t, returned, self.inner.cache.keys()
-            )
-            self.inner.apply_eviction(returned, choice)
-        self.retrieval_due = False
-
     def observe(self, t, item, hit):
-        self._settle_inner()
-        inner_hit = self.inner.request_phase(item)
+        self.inner.step(item, self.inner_policy)
         assert self.inner.t == t, "inner simulation fell out of lockstep"
-        self.inner_policy.observe(t, item, inner_hit)
-        self.retrieval_due = True
         if item != 0:
             self.last_request[item] = t
 
     def choose_eviction(self, t, item, cache):
-        self._settle_inner()
-        assert self.inner.t == t, "inner simulation fell out of lockstep"
         protected = set(self.inner.cache)
         horizon = t - self.window + 1
         protected.update(y for y, s in self.last_request.items() if s >= horizon)
@@ -112,9 +86,8 @@ class ReductionPolicy(Policy):
         return disposable[0] if disposable else 0
 
 
-def wrap_reduction(inner_policy: Policy, inner_params: ModelParams, window=None) -> ReductionPolicy:
-    """The policy B built from A; run it under :func:`reduction_outer_params`."""
-    return ReductionPolicy(inner_policy, inner_params, window)
+# the factory name the package has always exported
+wrap_reduction = ReductionPolicy
 
 
 @dataclass
@@ -133,17 +106,8 @@ def verify_domination(sequence, inner_policy: Policy, inner_params: ModelParams)
     Raises :class:`VerificationError` naming the first timestep where the
     wrapped policy's latency exceeds the inner policy's.
     """
-    inner_run = simulate(
-        ModelParams(
-            inner_params.num_items,
-            inner_params.cache_size,
-            inner_params.delay,
-            ANTIMONOTONE,
-        ),
-        sequence,
-        inner_policy,
-    )
-    wrapped = wrap_reduction(inner_policy, inner_params)
+    wrapped = ReductionPolicy(inner_policy, inner_params)
+    inner_run = simulate(wrapped.inner_params, sequence, inner_policy)
     outer_run = simulate(reduction_outer_params(inner_params), sequence, wrapped)
 
     for t, (inner_lat, outer_lat) in enumerate(

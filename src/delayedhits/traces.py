@@ -53,3 +53,12 @@ def random_sequence(rng, num_items: int, length: int, idle_prob: float = 0.25) -
         0 if rng.random() < idle_prob else rng.randint(1, num_items)
         for _ in range(length)
     ]
+
+
+def draw_instance(rng, max_length=50, max_cache=4, max_delay=8, idle_prob=0.25):
+    """Draw a random (cache_size, delay, num_items, sequence) instance."""
+    k = rng.randint(1, max_cache)
+    delay = rng.randint(1, max_delay)
+    n = k + rng.randint(1, 4)
+    sequence = random_sequence(rng, n, rng.randint(1, max_length), idle_prob)
+    return k, delay, n, sequence

@@ -4,16 +4,7 @@ import random
 
 from delayedhits import make_policy
 from delayedhits.policies import RandomEvictionPolicy
-from delayedhits.traces import random_sequence
-
-
-def draw_instance(rng, max_length=50, max_cache=4, max_delay=8, idle_prob=0.25):
-    """Random (cache_size, delay, num_items, sequence) tuple."""
-    k = rng.randint(1, max_cache)
-    delay = rng.randint(1, max_delay)
-    n = k + rng.randint(1, 4)
-    sequence = random_sequence(rng, n, rng.randint(1, max_length), idle_prob)
-    return k, delay, n, sequence
+from delayedhits.traces import draw_instance  # noqa: F401  (re-exported for the tests)
 
 
 def draw_policy(rng, sequence, cache_size, num_items):

@@ -72,7 +72,9 @@ def test_segments_are_all_hit_or_all_miss():
             offset += len(seg.rendered)
 
 
-@pytest.mark.parametrize("make_policy_fn", [lru_policy, fifo_policy])
+@pytest.mark.parametrize(
+    "make_policy_fn", [lru_policy, fifo_policy], ids=["lru_policy", "fifo_policy"]
+)
 @pytest.mark.parametrize("k,delay", [(1, 2), (2, 3), (3, 4), (4, 6)])
 def test_marking_terminates_for_caching_policies(make_policy_fn, k, delay):
     params = ModelParams(k + 1, k, delay)

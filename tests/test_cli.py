@@ -1,10 +1,11 @@
 """End-to-end command-line behavior: envelopes, exit codes, round trips."""
 
 import json
+import operator
 
 import pytest
 
-from delayedhits import InfeasibleEvictionError
+from delayedhits import InfeasibleEvictionError, policies
 from delayedhits.cli import main
 from delayedhits.traces import read_trace
 
@@ -146,6 +147,36 @@ def test_counterexample_report(capsys):
     assert results["baseline_latency"] == 24
     assert results["extra_hit_latency"] == 27
     assert results["opt_latency"] == 24 and results["opt_unique"]
+
+
+def test_counterexample_budget_overrun_runs_each_search_once(capsys, monkeypatch):
+    # two feasibility searches, then the optimum, then the set of optima,
+    # which overruns 40 nodes; the report keeps what was already verified
+    searches = []
+    real_search = policies._search
+
+    def counting(*args, **kwargs):
+        searches.append(args[3])
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(policies, "_search", counting)
+    code, report = run_cli(
+        capsys, "counterexample", "-Z", "26", "-k", "7", "--oracle-check",
+        "--search-budget", "40",
+    )
+    assert code == 4
+    assert searches == [None, None, operator.ge, operator.gt]
+    results = report["results"]
+    assert results["opt_latency"] is None and results["opt_unique"] is None
+    assert results["gap"] == results["predicted_gap"]
+    assert results["baseline_witness"] and results["extra_hit_witness"]
+
+
+def test_counterexample_has_no_universe_flag(capsys):
+    # the construction fixes n = k + 2; a -n would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["counterexample", "-n", "999"])
+    assert exc.value.code == 2
 
 
 def test_counterexample_small_delay_is_input_error(capsys):

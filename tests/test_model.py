@@ -94,6 +94,14 @@ def test_eviction_without_insertion_opportunity_is_rejected():
     assert err.value.timestep == 1
 
 
+def test_replay_names_the_earliest_infeasible_eviction():
+    # t=1 is idle, so evicting 1 there is infeasible; the eviction of the
+    # non-resident 2 at t=2 is infeasible too, but it comes later
+    with pytest.raises(InfeasibleEvictionError) as err:
+        replay(ModelParams(2, 1, 1), [0, 2], [1, 2])
+    assert (err.value.timestep, err.value.item) == (1, 1)
+
+
 def test_replay_length_mismatch():
     with pytest.raises(ValueError):
         replay(ModelParams(2, 1, 1), [1, 2], [0])

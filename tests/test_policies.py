@@ -229,3 +229,13 @@ def test_last_choice_runs_in_place():
     feasible, witness = is_hit_sequence_feasible(params, seq, [0] * len(seq))
     assert feasible
     assert replay(params, seq, witness).hit_sequence == [0] * len(seq)
+
+
+def test_search_depth_is_not_bounded_by_the_stack():
+    # the first path declines 1000 decisions in a row, each leaving its
+    # other choice pending: a recursion per pending choice would overflow
+    params = ModelParams(2, 1, 1)
+    opt = brute_force_opt(params, [2, 1] * 1000)
+    assert opt.min_latency == 1000
+    assert opt.nodes == 3992
+    assert brute_force_opt(params, [2, 1] * 950).nodes == 3792
