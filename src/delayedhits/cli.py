@@ -18,7 +18,8 @@ from . import __version__
 from .adversary import build_adversarial_sequence
 from .counterexample import (
     counterexample_sequence,
-    verify_nonantimonotonicity,
+    verify_closed_forms,
+    verify_feasibility,
     verify_unique_optimum,
 )
 from .latency import antimonotone_latency, delayed_hits_latency
@@ -54,6 +55,15 @@ EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_BUDGET = 4
 
+# the exception classes that reach main, each with its exit code
+_EXIT_CODES = {
+    TraceError: EXIT_INPUT,
+    ValueError: EXIT_INPUT,
+    InfeasibleEvictionError: EXIT_INFEASIBLE,
+    SearchBudgetExceeded: EXIT_BUDGET,
+    VerificationError: EXIT_VIOLATION,
+}
+
 
 def _ratio_json(fr: Fraction) -> dict:
     return {
@@ -70,14 +80,12 @@ def _parse_items(text) -> list[int]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _policy_for(args, sequence=None, cache_size=None):
+def _policy_for(args, sequence=None):
     static_items = None
     if args.policy == "static":
-        static_items = (
-            _parse_items(args.static_items)
-            if getattr(args, "static_items", None)
-            else range(1, cache_size + 1)
-        )
+        static_items = range(1, args.k + 1)
+        if args.static_items:
+            static_items = _parse_items(args.static_items)
     return make_policy(args.policy, sequence=sequence, static_items=static_items)
 
 
@@ -85,12 +93,7 @@ def cmd_simulate(args):
     sequence = read_trace(args.trace)
     n = args.n if args.n is not None else infer_num_items(sequence)
     params = ModelParams(n, args.k, args.Z, args.model)
-    bad = [item for item in sequence if item > n]
-    if bad:
-        raise TraceError(f"trace contains item {bad[0]} > declared n={n}")
-    policy = _policy_for(args, sequence=sequence, cache_size=args.k)
-    result = simulate(params, sequence, policy)
-    report_params = _params_dict(n, args.k, args.Z, args.model, args.policy, None)
+    result = simulate(params, sequence, _policy_for(args, sequence=sequence))
     results = {
         "trace_length": len(sequence),
         "total_latency": result.total_latency,
@@ -99,7 +102,7 @@ def cmd_simulate(args):
         "eviction_sequence": result.eviction_sequence,
         "miss_count": result.miss_count(),
     }
-    return report_params, results, EXIT_OK
+    return _params_dict(n, args.k, args.Z, args.model, args.policy), results, EXIT_OK
 
 
 def _check_search_budget(args):
@@ -109,12 +112,12 @@ def _check_search_budget(args):
 
 
 def cmd_adversary(args):
-    params = ModelParams(args.n if args.n is not None else args.k + 1, args.k, args.Z)
+    n = args.n if args.n is not None else args.k + 1
+    params = ModelParams(n, args.k, args.Z)
     if args.policy == "belady":
         raise ValueError("the adversary targets online policies; belady is offline")
     _check_search_budget(args)
-    policy = _policy_for(args, cache_size=args.k)
-    report = build_adversarial_sequence(policy, params, cap=args.cap)
+    report = build_adversarial_sequence(_policy_for(args), params, cap=args.cap)
     if args.trace_out:
         write_trace(args.trace_out, report.sequence)
     results = {
@@ -147,10 +150,7 @@ def cmd_adversary(args):
                     f"exhaustive optimum {results['oracle_opt']} != "
                     f"witnessed optimum {report.opt_latency}"
                 )
-    report_params = _params_dict(
-        params.num_items, args.k, args.Z, STANDARD, args.policy, None
-    )
-    return report_params, results, code
+    return _params_dict(n, args.k, args.Z, STANDARD, args.policy), results, code
 
 
 def cmd_counterexample(args):
@@ -159,14 +159,13 @@ def cmd_counterexample(args):
     if args.trace_out:
         write_trace(args.trace_out, cspec.sequence)
     code = EXIT_OK
-    report = verify_nonantimonotonicity(
-        cspec, check_optimal=False, node_budget=args.search_budget
-    )
-    if args.oracle_check:
-        try:
+    report = verify_closed_forms(cspec)
+    try:
+        verify_feasibility(report, args.search_budget)
+        if args.oracle_check:
             verify_unique_optimum(report, args.search_budget)
-        except SearchBudgetExceeded:
-            code = EXIT_BUDGET
+    except SearchBudgetExceeded:
+        code = EXIT_BUDGET
     results = {
         "sequence": list(cspec.sequence),
         "baseline_bits": list(cspec.baseline_bits),
@@ -183,26 +182,20 @@ def cmd_counterexample(args):
         "opt_latency": report.opt_latency,
         "opt_unique": report.opt_unique,
     }
-    report_params = _params_dict(
-        cspec.cache_size + 2, args.k, args.Z, STANDARD, None, None
-    )
-    return report_params, results, code
+    return _params_dict(cspec.cache_size + 2, args.k, args.Z, STANDARD), results, code
 
 
 def cmd_reduce(args):
     sequence = read_trace(args.trace)
     n = args.n if args.n is not None else infer_num_items(sequence)
     inner_params = ModelParams(n, args.k, args.Z, ANTIMONOTONE)
-    policy = _policy_for(args, sequence=sequence, cache_size=args.k)
+    report_params = _params_dict(n, args.k, args.Z, ANTIMONOTONE, args.policy)
+    policy = _policy_for(args, sequence=sequence)
     try:
         report = verify_domination(sequence, policy, inner_params)
     except VerificationError as exc:
         results = {"dominates": False, "violation": str(exc)}
-        return (
-            _params_dict(n, args.k, args.Z, ANTIMONOTONE, args.policy, None),
-            results,
-            EXIT_VIOLATION,
-        )
+        return report_params, results, EXIT_VIOLATION
     results = {
         "dominates": True,
         "inner_total": report.inner_total,
@@ -211,11 +204,7 @@ def cmd_reduce(args):
         "outer_per_request": report.outer_per_request,
         "outer_cache_size": args.k + args.Z,
     }
-    return (
-        _params_dict(n, args.k, args.Z, ANTIMONOTONE, args.policy, None),
-        results,
-        EXIT_OK,
-    )
+    return report_params, results, EXIT_OK
 
 
 def _draw_policy(rng, sequence, k, n, case_seed):
@@ -223,108 +212,81 @@ def _draw_policy(rng, sequence, k, n, case_seed):
     if name == "belady":
         return make_policy("belady", sequence=sequence)
     if name == "static":
-        size = rng.randint(1, k)
-        items = rng.sample(range(1, n + 1), min(size, n))
+        # draw_instance keeps k < n, so any size up to k can be sampled
+        items = rng.sample(range(1, n + 1), rng.randint(1, k))
         return make_policy("static", static_items=items)
     if name == "random":
         return RandomEvictionPolicy(case_seed)
     return make_policy(name)
 
 
-def _check_latency(rng, cases, idle_prob):
-    failures = 0
-    first = None
-    for case in range(cases):
-        k, delay, n, sequence = draw_instance(rng, idle_prob=idle_prob)
-        policy = _draw_policy(rng, sequence, k, n, case_seed=rng.randrange(2**30))
-        for mode, closed_form in (
-            (STANDARD, delayed_hits_latency),
-            (ANTIMONOTONE, antimonotone_latency),
-        ):
-            params = ModelParams(n, k, delay, mode)
-            run = simulate(params, sequence, policy)
-            total, per = closed_form(sequence, delay, run.hit_sequence)
-            if total != run.total_latency or per != run.per_request_latency:
-                failures += 1
-                if first is None:
-                    first = {
-                        "case": case,
-                        "mode": mode,
-                        "sequence": sequence,
-                        "params": {"n": n, "k": k, "Z": delay},
-                        "policy": policy.name,
-                        "simulated": run.total_latency,
-                        "closed_form": total,
-                    }
-                break
-    return failures, first
+def _latency_case(rng, idle_prob):
+    k, delay, n, sequence = draw_instance(rng, idle_prob=idle_prob)
+    policy = _draw_policy(rng, sequence, k, n, case_seed=rng.randrange(2**30))
+    for mode, closed_form in (
+        (STANDARD, delayed_hits_latency),
+        (ANTIMONOTONE, antimonotone_latency),
+    ):
+        run = simulate(ModelParams(n, k, delay, mode), sequence, policy)
+        total, per = closed_form(sequence, delay, run.hit_sequence)
+        if total != run.total_latency or per != run.per_request_latency:
+            return {
+                "mode": mode,
+                "sequence": sequence,
+                "params": {"n": n, "k": k, "Z": delay},
+                "policy": policy.name,
+                "simulated": run.total_latency,
+                "closed_form": total,
+            }
+    return None
 
 
-def _check_antimono(rng, cases, idle_prob):
-    failures = 0
-    first = None
-    for case in range(cases):
-        n = rng.randint(1, 6)
-        delay = rng.randint(1, 8)
-        sequence = random_sequence(rng, n, rng.randint(1, 50), idle_prob)
-        bits = [rng.randint(0, 1) for _ in sequence]
-        base, _ = antimonotone_latency(sequence, delay, bits)
-        witness = None
-        for pos, bit in enumerate(bits):
-            if bit == 1:
-                continue
-            flipped = list(bits)
-            flipped[pos] = 1
-            value, _ = antimonotone_latency(sequence, delay, flipped)
-            if value > base:
-                witness = {"flip_pos": pos + 1, "base": base, "flipped": value}
-                break
-        if witness is None:
-            upper = [b | (rng.random() < 0.5) for b in bits]
-            value, _ = antimonotone_latency(sequence, delay, upper)
-            if value > base:
-                witness = {"pair": True, "base": base, "upper": value}
-        if witness is not None:
-            failures += 1
-            if first is None:
-                first = {
-                    "case": case,
-                    "sequence": sequence,
-                    "bits": bits,
-                    "params": {"n": n, "Z": delay},
-                    **witness,
-                }
-    return failures, first
+def _antimono_case(rng, idle_prob):
+    n = rng.randint(1, 6)
+    delay = rng.randint(1, 8)
+    sequence = random_sequence(rng, n, rng.randint(1, 50), idle_prob)
+    bits = [rng.randint(0, 1) for _ in sequence]
+    base, _ = antimonotone_latency(sequence, delay, bits)
+    failure = {"sequence": sequence, "bits": bits, "params": {"n": n, "Z": delay}}
+    for pos, bit in enumerate(bits):
+        if bit == 1:
+            continue
+        flipped = list(bits)
+        flipped[pos] = 1
+        value, _ = antimonotone_latency(sequence, delay, flipped)
+        if value > base:
+            return {**failure, "flip_pos": pos + 1, "base": base, "flipped": value}
+    upper = [b | (rng.random() < 0.5) for b in bits]
+    value, _ = antimonotone_latency(sequence, delay, upper)
+    if value > base:
+        return {**failure, "pair": True, "base": base, "upper": value}
+    return None
 
 
-def _check_reduction(rng, cases, idle_prob):
-    failures = 0
-    first = None
-    for case in range(cases):
-        k = rng.randint(1, 3)
-        delay = rng.randint(1, 6)
-        n = rng.randint(2, 8)
-        sequence = random_sequence(rng, n, rng.randint(1, 50), idle_prob)
-        inner = make_policy(rng.choice(["lru", "fifo"]))
-        try:
-            verify_domination(sequence, inner, ModelParams(n, k, delay))
-        except VerificationError as exc:
-            failures += 1
-            if first is None:
-                first = {
-                    "case": case,
-                    "sequence": sequence,
-                    "params": {"n": n, "k": k, "Z": delay},
-                    "policy": inner.name,
-                    "violation": str(exc),
-                }
-    return failures, first
+def _reduction_case(rng, idle_prob):
+    k = rng.randint(1, 3)
+    delay = rng.randint(1, 6)
+    n = rng.randint(2, 8)
+    sequence = random_sequence(rng, n, rng.randint(1, 50), idle_prob)
+    inner = make_policy(rng.choice(["lru", "fifo"]))
+    try:
+        verify_domination(sequence, inner, ModelParams(n, k, delay))
+    except VerificationError as exc:
+        return {
+            "sequence": sequence,
+            "params": {"n": n, "k": k, "Z": delay},
+            "policy": inner.name,
+            "violation": str(exc),
+        }
+    return None
 
 
+# each suite draws one random case from the shared rng and returns a
+# failure description, or None when the case passes
 _SUITES = {
-    "latency": _check_latency,
-    "antimono": _check_antimono,
-    "reduction": _check_reduction,
+    "latency": _latency_case,
+    "antimono": _antimono_case,
+    "reduction": _reduction_case,
 }
 
 
@@ -335,7 +297,13 @@ def cmd_check(args):
     if not 0 <= args.idle_prob < 1:
         raise ValueError(f"--idle-prob must be in [0, 1), got {args.idle_prob}")
     rng = random.Random(args.seed)
-    failures, first = _SUITES[args.suite](rng, args.cases, args.idle_prob)
+    failures, first = 0, None
+    for case in range(args.cases):
+        failure = _SUITES[args.suite](rng, args.idle_prob)
+        if failure is not None:
+            failures += 1
+            if first is None:
+                first = {"case": case, **failure}
     results = {
         "suite": args.suite,
         "cases": args.cases,
@@ -343,11 +311,10 @@ def cmd_check(args):
         "failures": failures,
         "first_failure": first,
     }
-    code = EXIT_OK if failures == 0 else EXIT_VIOLATION
-    return _params_dict(None, None, None, None, None, args.seed), results, code
+    return _params_dict(seed=args.seed), results, EXIT_VIOLATION if failures else EXIT_OK
 
 
-def _params_dict(n, k, delay, mode, policy, seed):
+def _params_dict(n=None, k=None, delay=None, mode=None, policy=None, seed=None):
     return {"n": n, "k": k, "Z": delay, "mode": mode, "policy": policy, "seed": seed}
 
 
@@ -426,18 +393,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         params, results, code = args.handler(args)
-    except (TraceError, ValueError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except InfeasibleEvictionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except SearchBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        return next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
     envelope = {
         "command": args.command,
         "version": __version__,

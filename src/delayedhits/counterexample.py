@@ -133,10 +133,10 @@ class NonAntimonotonicityReport:
     baseline_latency: int
     extra_hit_latency: int
     gap: int
-    baseline_witness: list[int]
-    extra_hit_witness: list[int]
     fetch_on_hit_baseline: int
     fetch_on_hit_extra: int
+    baseline_witness: list[int] | None = None   # set by verify_feasibility
+    extra_hit_witness: list[int] | None = None
     opt_latency: int | None = None     # set by verify_unique_optimum
     opt_unique: bool | None = None
 
@@ -148,12 +148,18 @@ def verify_nonantimonotonicity(
 ) -> NonAntimonotonicityReport:
     """Check every claim the construction makes; raise on the first failure.
 
-    Verifies the one-bit domination structure, the exact latency gap,
-    feasibility of both vectors (by independent search), immunity of the
-    fetch-on-hit model, and optionally, through
-    :func:`verify_unique_optimum`, that the baseline vector is the unique
-    optimum.
+    Runs :func:`verify_closed_forms`, :func:`verify_feasibility` and, with
+    ``check_optimal``, :func:`verify_unique_optimum`.
     """
+    report = verify_feasibility(verify_closed_forms(cspec), node_budget)
+    if check_optimal:
+        verify_unique_optimum(report, node_budget)
+    return report
+
+
+def verify_closed_forms(cspec: CounterexampleSpec) -> NonAntimonotonicityReport:
+    """Check the one-bit domination structure, the exact latency gap and the
+    immunity of the fetch-on-hit model; return a report without witnesses."""
     seq, delay = list(cspec.sequence), cspec.delay
     b, b_hi = list(cspec.baseline_bits), list(cspec.extra_hit_bits)
 
@@ -173,14 +179,6 @@ def verify_nonantimonotonicity(
     if gap <= 0:
         raise VerificationError(f"gap {gap} is not positive")
 
-    params = cspec.params()
-    ok_low, witness_low = is_hit_sequence_feasible(params, seq, b, node_budget)
-    if not ok_low:
-        raise VerificationError("baseline hit sequence is not feasible")
-    ok_high, witness_high = is_hit_sequence_feasible(params, seq, b_hi, node_budget)
-    if not ok_high:
-        raise VerificationError("extra-hit hit sequence is not feasible")
-
     anti_low, _ = antimonotone_latency(seq, delay, b)
     anti_high, _ = antimonotone_latency(seq, delay, b_hi)
     if anti_high > anti_low:
@@ -188,18 +186,31 @@ def verify_nonantimonotonicity(
             "fetch-on-hit latency increased under the extra hit; it must not"
         )
 
-    report = NonAntimonotonicityReport(
+    return NonAntimonotonicityReport(
         spec=cspec,
         baseline_latency=low,
         extra_hit_latency=high,
         gap=gap,
-        baseline_witness=witness_low,
-        extra_hit_witness=witness_high,
         fetch_on_hit_baseline=anti_low,
         fetch_on_hit_extra=anti_high,
     )
-    if check_optimal:
-        verify_unique_optimum(report, node_budget)
+
+
+def verify_feasibility(
+    report: NonAntimonotonicityReport, node_budget: int = DEFAULT_SEARCH_BUDGET
+) -> NonAntimonotonicityReport:
+    """Prove both vectors feasible by independent search, filling in each
+    witness as its search finishes, so a caller that catches
+    :class:`SearchBudgetExceeded` keeps the evidence found so far."""
+    cspec = report.spec
+    params, seq = cspec.params(), list(cspec.sequence)
+    b, b_hi = list(cspec.baseline_bits), list(cspec.extra_hit_bits)
+    ok, report.baseline_witness = is_hit_sequence_feasible(params, seq, b, node_budget)
+    if not ok:
+        raise VerificationError("baseline hit sequence is not feasible")
+    ok, report.extra_hit_witness = is_hit_sequence_feasible(params, seq, b_hi, node_budget)
+    if not ok:
+        raise VerificationError("extra-hit hit sequence is not feasible")
     return report
 
 

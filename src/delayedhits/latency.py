@@ -1,18 +1,27 @@
 """Closed-form latency of a trace as a function of its hit bits.
 
 Once you know which requests were full hits, the total latency of a run
-is determined without re-simulating: a missed request at time t is served
-by the earliest fetch still in flight for its item, and fetches exist
-exactly at earlier misses (standard model) or at earlier requests of any
-kind (fetch-on-hit variant). Both functions below return the total and
-the per-request latency vector; they are the analytic counterparts of the
-event-driven simulator and are kept deliberately independent of it.
+is determined without re-simulating. Both models follow one rule (Atre
+et al., SIGCOMM 2020): a miss at time t is served by the earliest fetch
+of its item still in flight, its own included. A fetch dispatched at p
+is in flight at t when t - delay < p <= t, so the miss costs
+delay - (t - p). The models differ only in which requests dispatch a
+fetch:
+
+* standard model: the misses;
+* fetch-on-hit variant: every request, hits included.
+
+Both functions below return the total and the per-request latency
+vector; they are the analytic counterparts of the event-driven simulator
+and are kept deliberately independent of it.
 
 Hit bits at idle slots carry no information; they are forced to 1 before
 evaluation so the functions are total over all bit vectors.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 
 def normalize_hit_bits(sequence, bits) -> list[int]:
@@ -29,53 +38,34 @@ def normalize_hit_bits(sequence, bits) -> list[int]:
     return out
 
 
-def delayed_hits_latency(sequence, delay, bits) -> tuple[int, list[int]]:
-    """Latency of the standard model under hit bits ``bits``.
-
-    A miss at time t pays ``delay - (t - p)`` where p is the earliest
-    *miss* of the same item within the last ``delay`` timesteps (p = t
-    when there is none, i.e. a full miss).
-    """
+def _latency(sequence, delay, bits, fetch_on_hit) -> tuple[int, list[int]]:
+    """The rule above in one walk: each item keeps its dispatch times in a
+    list with a cursor at the oldest one still in flight."""
     b = normalize_hit_bits(sequence, bits)
     per = [0] * len(sequence)
-    for t, item in enumerate(sequence, start=1):
-        if item == 0 or b[t - 1] == 1:
+    dispatched = defaultdict(lambda: [0, []])
+    for t, (item, hit) in enumerate(zip(sequence, b), start=1):
+        if item == 0 or (hit and not fetch_on_hit):
             continue
-        p = t
-        for s in range(max(1, t - delay + 1), t):
-            if sequence[s - 1] == item and b[s - 1] == 0:
-                p = s
-                break
-        per[t - 1] = delay - (t - p)
+        entry = dispatched[item]
+        i, times = entry
+        times.append(t)
+        while times[i] <= t - delay:
+            i += 1
+        entry[0] = i
+        if not hit:
+            per[t - 1] = delay - (t - times[i])
     return sum(per), per
+
+
+def delayed_hits_latency(sequence, delay, bits) -> tuple[int, list[int]]:
+    """Latency of the standard model under hit bits ``bits``: only misses dispatch."""
+    return _latency(sequence, delay, bits, fetch_on_hit=False)
 
 
 def antimonotone_latency(sequence, delay, bits) -> tuple[int, list[int]]:
-    """Latency of the fetch-on-hit variant under hit bits ``bits``.
-
-    Identical to :func:`delayed_hits_latency` except the serving window
-    minimum ranges over *all* earlier same-item requests, hits included,
-    because every request dispatches a fetch.
-    """
-    b = normalize_hit_bits(sequence, bits)
-    per = [0] * len(sequence)
-    positions = {}
-    for t, item in enumerate(sequence, start=1):
-        if item != 0:
-            positions.setdefault(item, []).append(t)
-    cursor = dict.fromkeys(positions, 0)
-    for t, item in enumerate(sequence, start=1):
-        if item == 0:
-            continue
-        occ = positions[item]
-        i = cursor[item]
-        low = t - delay + 1
-        while occ[i] < low:
-            i += 1
-        cursor[item] = i
-        if b[t - 1] == 0:
-            per[t - 1] = delay - (t - occ[i])
-    return sum(per), per
+    """Latency of the fetch-on-hit variant under ``bits``: every request dispatches."""
+    return _latency(sequence, delay, bits, fetch_on_hit=True)
 
 
 def dominates(bits, other) -> bool:

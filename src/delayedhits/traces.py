@@ -1,8 +1,9 @@
 """Trace files: one nonnegative integer per line, 0 meaning an idle slot.
 
-Blank lines and '#' comments are ignored. When no universe size is given
-it is inferred as the largest item in the trace (minimum 1 so parameters
-stay valid for all-idle traces).
+Files are read one line at a time; lines end at universal newlines (LF,
+CRLF or CR). Blank lines and '#' comments are ignored. When no universe
+size is given it is inferred as the largest item in the trace (minimum 1
+so parameters stay valid for all-idle traces).
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ class TraceError(Exception):
     """The trace file cannot be read or fails validation."""
 
 
-def parse_trace(text: str) -> list[int]:
+def parse_trace(lines) -> list[int]:
     items = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -31,10 +32,9 @@ def parse_trace(text: str) -> list[int]:
 def read_trace(path) -> list[int]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return parse_trace(fh)
     except OSError as exc:
         raise TraceError(f"cannot read trace {path}: {exc}") from None
-    return parse_trace(text)
 
 
 def write_trace(path, sequence) -> None:

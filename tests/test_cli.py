@@ -1,11 +1,12 @@
 """End-to-end command-line behavior: envelopes, exit codes, round trips."""
 
+import dataclasses
 import json
 import operator
 
 import pytest
 
-from delayedhits import InfeasibleEvictionError, policies
+from delayedhits import InfeasibleEvictionError, VerificationError, cli, policies
 from delayedhits.cli import main
 from delayedhits.traces import read_trace
 
@@ -42,10 +43,13 @@ def test_simulate_single_resident_item(tmp_path, capsys):
 
 def test_trace_comments_and_blank_lines(tmp_path, capsys):
     path = tmp_path / "t.txt"
-    path.write_text("# a comment\n\n3\n3  # trailing\n3\n")
-    code, report = run_cli(capsys, "simulate", str(path), "-k", "2", "-Z", "3")
-    assert code == 0
-    assert report["results"]["total_latency"] == 6
+    # the second input has CRLF line ends and no final newline
+    for text in ("# a comment\n\n3\n3  # trailing\n3\n",
+                 "# a comment\r\n\r\n3\r\n3  # trailing\r\n3"):
+        path.write_bytes(text.encode())
+        code, report = run_cli(capsys, "simulate", str(path), "-k", "2", "-Z", "3")
+        assert code == 0
+        assert report["results"]["total_latency"] == 6
 
 
 def test_unreadable_trace_is_input_error(capsys):
@@ -172,6 +176,23 @@ def test_counterexample_budget_overrun_runs_each_search_once(capsys, monkeypatch
     assert results["baseline_witness"] and results["extra_hit_witness"]
 
 
+@pytest.mark.parametrize(
+    "oracle_check", [[], ["--oracle-check"]], ids=["feasibility", "oracle-check"]
+)
+def test_counterexample_feasibility_overrun_gives_partial_report(capsys, oracle_check):
+    # the closed-form claims hold; the first feasibility search overruns
+    code, report = run_cli(
+        capsys, "counterexample", "-Z", "26", "-k", "7", "--search-budget", "5",
+        *oracle_check,
+    )
+    assert code == 4
+    results = report["results"]
+    assert results["gap"] == results["predicted_gap"] == 143
+    assert results["baseline_witness"] is None
+    assert results["extra_hit_witness"] is None
+    assert results["opt_latency"] is None and results["opt_unique"] is None
+
+
 def test_counterexample_has_no_universe_flag(capsys):
     # the construction fixes n = k + 2; a -n would be ignored
     with pytest.raises(SystemExit) as exc:
@@ -290,3 +311,108 @@ def test_envelope_params_schema(capsys):
     assert code == 0
     assert set(report["params"]) == {"n", "k", "Z", "mode", "policy", "seed"}
     assert report["version"]
+
+
+def _off_by_one_when_length_divides_by_3(real):
+    def faulty(sequence, delay, bits):
+        total, per = real(sequence, delay, bits)
+        return total + (len(sequence) % 3 == 0), per
+    return faulty
+
+
+def _penalize_two_mod_four_hits(real):
+    # from 0 mod 4 hits one flip cannot reach the penalty but the pair
+    # check's several flips can, so both kinds of witness occur
+    def faulty(sequence, delay, bits):
+        total, per = real(sequence, delay, bits)
+        return total + 1000 * (sum(bits) % 4 == 2), per
+    return faulty
+
+
+def _reject_delay_two(real):
+    def faulty(sequence, policy, params):
+        report = real(sequence, policy, params)
+        if params.delay == 2:
+            raise VerificationError("injected fault at Z=2")
+        return report
+    return faulty
+
+
+_FAILURE_KEYS = {
+    "latency": {"case", "mode", "sequence", "params", "policy", "simulated",
+                "closed_form"},
+    "flip": {"case", "sequence", "bits", "params", "base", "flip_pos", "flipped"},
+    "pair": {"case", "sequence", "bits", "params", "base", "pair", "upper"},
+    "reduction": {"case", "sequence", "params", "policy", "violation"},
+}
+
+
+@pytest.mark.parametrize(
+    "suite,target,fault,cases,seed,failures,first_case,keys",
+    [
+        ("latency", "delayed_hits_latency", _off_by_one_when_length_divides_by_3,
+         60, 23, 18, 10, "latency"),
+        ("antimono", "antimonotone_latency", _penalize_two_mod_four_hits,
+         80, 4, 13, 16, "flip"),
+        ("antimono", "antimonotone_latency", _penalize_two_mod_four_hits,
+         80, 30, 38, 2, "pair"),
+        ("reduction", "verify_domination", _reject_delay_two,
+         40, 10, 5, 17, "reduction"),
+    ],
+    ids=["latency", "antimono-flip", "antimono-pair", "reduction"],
+)
+def test_check_failing_sweep_reports_first_failure(
+    capsys, monkeypatch, suite, target, fault, cases, seed, failures, first_case, keys
+):
+    monkeypatch.setattr(cli, target, fault(getattr(cli, target)))
+    code, report = run_cli(
+        capsys, "check", "--suite", suite, "--cases", str(cases), "--seed", str(seed)
+    )
+    results = report["results"]
+    assert code == 1
+    assert results["failures"] == failures
+    assert results["passed"] == cases - failures
+    assert results["first_failure"]["case"] == first_case
+    assert set(results["first_failure"]) == _FAILURE_KEYS[keys]
+
+
+def _raising(exc):
+    def explode(*args, **kwargs):
+        raise exc
+    return lambda real: explode
+
+
+def _wrong_optimum(real):
+    def wrong(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return dataclasses.replace(result, min_latency=result.min_latency + 1)
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "argv,target,patch,code,message",
+    [
+        (["simulate", "/no/such/file"], None, None, 2, "cannot read trace"),
+        (["check", "--cases", "0"], None, None, 2, "--cases must be positive"),
+        (["simulate", "TRACE", "-n", "3"], None, None, 2,
+         "request at t=2 is 49, outside 0..3"),
+        (["simulate", "TRACE"], "simulate",
+         _raising(InfeasibleEvictionError(5, 2)), 3, "t=5"),
+        (["simulate", "TRACE"], "simulate",
+         _raising(policies.SearchBudgetExceeded("too large")), 4, "too large"),
+        (["adversary", "--oracle-check"], "brute_force_opt", _wrong_optimum, 1,
+         "exhaustive optimum 5 != witnessed optimum 4"),
+    ],
+    ids=["trace", "value", "universe", "infeasible", "budget", "verification"],
+)
+def test_main_maps_each_error_to_its_exit_code(
+    tmp_path, capsys, monkeypatch, argv, target, patch, code, message
+):
+    trace = write_lines(tmp_path / "t.txt", [1, 49, 2])
+    if target is not None:
+        monkeypatch.setattr(cli, target, patch(getattr(cli, target)))
+    assert main([trace if arg == "TRACE" else arg for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line

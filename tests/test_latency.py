@@ -130,6 +130,31 @@ def test_fetch_on_hit_single_flip_never_increases(case):
             assert value <= base
 
 
+def _scan_latency(seq, delay, bits, fetch_on_hit):
+    """The plain definition: a miss at t waits for the earliest dispatch of
+    its item among the last ``delay`` steps, t included. Misses dispatch;
+    with fetch on hit, hits dispatch too."""
+    per = []
+    for t, (item, bit) in enumerate(zip(seq, bits)):
+        if item == 0 or bit == 1:
+            per.append(0)
+            continue
+        dispatches = [
+            s for s in range(max(0, t - delay + 1), t + 1)
+            if seq[s] == item and (fetch_on_hit or bits[s] == 0)
+        ]
+        per.append(delay - (t - dispatches[0]))
+    return sum(per), per
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trace_and_bits())
+def test_closed_forms_match_the_plain_definition(case):
+    seq, delay, bits = case
+    assert delayed_hits_latency(seq, delay, bits) == _scan_latency(seq, delay, bits, False)
+    assert antimonotone_latency(seq, delay, bits) == _scan_latency(seq, delay, bits, True)
+
+
 def test_simulation_matches_closed_forms():
     rng = random.Random(29)
     for _ in range(200):
