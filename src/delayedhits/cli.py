@@ -2,6 +2,9 @@
 
 Every command prints one JSON report envelope (deterministic for a given
 command line and seed): {"command", "version", "params", "results"}.
+Its bytes are exactly ``json.dumps(envelope, indent=2, sort_keys=True)``
+plus a newline, written in chunks by ``_json_chunks`` so that long result
+vectors skip ``json``'s pure-Python indenting encoder.
 Exit codes: 0 ok, 1 property violation, 2 input error, 3 infeasible
 eviction, 4 search budget exceeded.
 """
@@ -9,6 +12,7 @@ eviction, 4 search budget exceeded.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -158,14 +162,21 @@ def cmd_counterexample(args):
     cspec = counterexample_sequence(args.Z, args.k)
     if args.trace_out:
         write_trace(args.trace_out, cspec.sequence)
-    code = EXIT_OK
+    code, error = EXIT_OK, None
     report = verify_closed_forms(cspec)
     try:
         verify_feasibility(report, args.search_budget)
         if args.oracle_check:
             verify_unique_optimum(report, args.search_budget)
-    except SearchBudgetExceeded:
-        code = EXIT_BUDGET
+    except SearchBudgetExceeded as exc:
+        # each search fills in its evidence as it finishes, so the first
+        # gap in the report names the one that overran
+        step = (
+            "baseline feasibility" if report.baseline_witness is None
+            else "extra-hit feasibility" if report.extra_hit_witness is None
+            else "unique-optimum"
+        )
+        code, error = EXIT_BUDGET, f"{step} search: {exc}"
     results = {
         "sequence": list(cspec.sequence),
         "baseline_bits": list(cspec.baseline_bits),
@@ -182,6 +193,9 @@ def cmd_counterexample(args):
         "opt_latency": report.opt_latency,
         "opt_unique": report.opt_unique,
     }
+    if error is not None:
+        # only an overrun report carries it, like adversary's oracle_error
+        results["search_error"] = error
     return _params_dict(cspec.cache_size + 2, args.k, args.Z, STANDARD), results, code
 
 
@@ -379,13 +393,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_chunks(value, newline="\n"):
+    """Yield ``json.dumps(value, indent=2, sort_keys=True)`` in pieces.
+
+    Each key and scalar is encoded by ``json.dumps`` itself, so strings,
+    floats, bools and None, and the TypeError for anything unencodable,
+    are json's own. A list of plain ints (bools excluded) is joined in one
+    piece: that is where a long report's bytes are. ``newline`` is a line
+    break followed by the indent of the line ``value`` starts on.
+    """
+    if isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        inner = newline + "  "
+        opener = "{" + inner
+        for key in sorted(value):
+            # json's own conversion of an int, float, bool or None key
+            name = key if isinstance(key, str) else json.dumps({key: 0})[2:-5]
+            yield opener + json.dumps(name) + ": "
+            yield from _json_chunks(value[key], inner)
+            opener = "," + inner
+        yield newline + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        inner = newline + "  "
+        if all(type(x) is int for x in value):
+            yield "[" + inner
+            yield ("," + inner).join(map(str, value))
+        else:
+            opener = "[" + inner
+            for item in value:
+                yield opener
+                yield from _json_chunks(item, inner)
+                opener = "," + inner
+        yield newline + "]"
+    else:
+        yield json.dumps(value)
+
+
 def _emit(envelope, out_path):
-    text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+    chunks = itertools.chain(_json_chunks(envelope), ["\n"])
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def main(argv=None) -> int:

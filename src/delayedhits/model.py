@@ -277,6 +277,12 @@ class Simulation:
         return twin
 
     def result(self) -> SimulationResult:
+        """Package the drained run as a :class:`SimulationResult`.
+
+        This ends the run: the result takes over the hit, latency and
+        eviction lists instead of copying them, so the simulation must not
+        be stepped afterwards.
+        """
         assert not self.fetches, "run not drained"
         insertions = []
         chain = self.insertions
@@ -287,9 +293,9 @@ class Simulation:
         total = sum(self.per_request_latency)
         assert total == self.committed
         return SimulationResult(
-            hit_sequence=list(self.hit_bits),
-            per_request_latency=list(self.per_request_latency),
-            eviction_sequence=list(self.eviction_sequence),
+            hit_sequence=self.hit_bits,
+            per_request_latency=self.per_request_latency,
+            eviction_sequence=self.eviction_sequence,
             total_latency=total,
             initial_cache=self.params.initial_cache(),
             insertions=insertions,

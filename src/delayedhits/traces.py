@@ -16,13 +16,17 @@ class TraceError(Exception):
 def parse_trace(lines) -> list[int]:
     items = []
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
         try:
-            value = int(line)
+            # a bare number, the common line: int() itself skips whitespace
+            value = int(raw)
         except ValueError:
-            raise TraceError(f"line {lineno}: {line!r} is not an integer") from None
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                value = int(line)
+            except ValueError:
+                raise TraceError(f"line {lineno}: {line!r} is not an integer") from None
         if value < 0:
             raise TraceError(f"line {lineno}: requests must be nonnegative")
         items.append(value)

@@ -1,8 +1,10 @@
 """End-to-end command-line behavior: envelopes, exit codes, round trips."""
 
 import dataclasses
+import hashlib
 import json
 import operator
+import random
 
 import pytest
 
@@ -14,7 +16,12 @@ from delayedhits.traces import read_trace
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
-    return code, (json.loads(out) if out else None)
+    if not out:
+        return code, None
+    report = json.loads(out)
+    # the report format is json.dumps(indent=2, sort_keys=True), byte for byte
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return code, report
 
 
 def write_lines(path, items):
@@ -151,6 +158,7 @@ def test_counterexample_report(capsys):
     assert results["baseline_latency"] == 24
     assert results["extra_hit_latency"] == 27
     assert results["opt_latency"] == 24 and results["opt_unique"]
+    assert "search_error" not in results
 
 
 def test_counterexample_budget_overrun_runs_each_search_once(capsys, monkeypatch):
@@ -174,6 +182,9 @@ def test_counterexample_budget_overrun_runs_each_search_once(capsys, monkeypatch
     assert results["opt_latency"] is None and results["opt_unique"] is None
     assert results["gap"] == results["predicted_gap"]
     assert results["baseline_witness"] and results["extra_hit_witness"]
+    assert results["search_error"] == (
+        "unique-optimum search: instance too large: more than 40 decision nodes"
+    )
 
 
 @pytest.mark.parametrize(
@@ -191,6 +202,9 @@ def test_counterexample_feasibility_overrun_gives_partial_report(capsys, oracle_
     assert results["baseline_witness"] is None
     assert results["extra_hit_witness"] is None
     assert results["opt_latency"] is None and results["opt_unique"] is None
+    assert results["search_error"] == (
+        "baseline feasibility search: instance too large: more than 5 decision nodes"
+    )
 
 
 def test_counterexample_has_no_universe_flag(capsys):
@@ -304,6 +318,59 @@ def test_report_written_to_file(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert json.loads(out.read_text())["results"]["total_latency"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "TRACE", "-k", "3", "-Z", "5", "--policy", "fifo"],
+        ["adversary", "--policy", "lru", "-k", "2", "-Z", "3", "--oracle-check"],
+        ["check", "--suite", "reduction", "--cases", "10"],
+    ],
+    ids=["simulate", "adversary", "check"],
+)
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
+    trace = write_lines(tmp_path / "t.txt", [3, 1, 0, 2, 3, 3, 4, 1, 2, 0, 4])
+    argv = [trace if arg == "TRACE" else arg for arg in argv]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode()
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout
+
+
+def _seeded_trace(path, seed, num_items, length):
+    rng = random.Random(seed)
+    items = [
+        0 if rng.random() < 0.25 else rng.randint(1, num_items) for _ in range(length)
+    ]
+    return write_lines(path, items)
+
+
+# sha256 of the full stdout of each command, pinned from the json.dumps
+# writer; any change to a report's bytes, format or content, shows here
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["simulate", "TRACE", "-n", "40", "-k", "6", "-Z", "9", "--policy", "lru"],
+         "25a57e1d70848bde43055a00781ba790f218319ac8e96c0e638c4a10429dd34c"),
+        (["simulate", "TRACE", "-n", "40", "-k", "6", "-Z", "9", "--policy", "fifo"],
+         "485aa43295f414d82289c5b78b3c04867d94efd98fbf4cf808f0813efd7096d3"),
+        (["counterexample", "-Z", "8", "-k", "2", "--oracle-check"],
+         "7002c34339862955279e918539336d2a658e26629f148bedcf4066fe6122bb44"),
+        (["adversary", "--policy", "lru", "-k", "3", "-Z", "5", "--oracle-check"],
+         "27ebfb819c3e93cf48ca3f3f68aea7c429821642fdbbb753ff929bef46dd97af"),
+        (["check", "--suite", "antimono", "--cases", "50"],
+         "5c7372bbd3863f852089df9330dee967fad6cb99079552c69d9fc1ce90f3347e"),
+    ],
+    ids=["simulate-lru", "simulate-fifo", "counterexample", "adversary", "check"],
+)
+def test_report_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    trace = _seeded_trace(tmp_path / "t.txt", 2024, 40, 2000)
+    assert main([trace if arg == "TRACE" else arg for arg in argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_envelope_params_schema(capsys):

@@ -1,0 +1,160 @@
+"""The CLI's I/O layer against its references: the chunked report writer
+against ``json.dumps(indent=2, sort_keys=True)``, and the trace parser's
+int() fast path against the plain comment-and-strip rule."""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from delayedhits import cli
+from delayedhits.cli import _json_chunks
+from delayedhits.traces import TraceError, parse_trace
+
+
+def reference_dump(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def chunked_dump(value):
+    return "".join(_json_chunks(value))
+
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(),
+    st.text(),
+    st.sampled_from(['", "', "na\u00efve", "\u65e5\u672c", " ", "\\", '"', "\x00"]),
+)
+# all-int lists take the joined path; a bool or None sends a list down the
+# item-by-item one
+int_lists = st.lists(
+    st.one_of(st.integers(), st.integers(min_value=-(10**30), max_value=10**30))
+)
+mixed_int_lists = st.lists(st.one_of(st.integers(), st.booleans(), st.none()))
+values = st.recursive(
+    st.one_of(scalars, int_lists, mixed_int_lists),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values)
+def test_writer_matches_json_dumps(value):
+    assert chunked_dump(value) == reference_dump(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [],
+        {},
+        [[]],
+        {"a": {}},
+        {"b": [], "a": [{}]},
+        [True, False],
+        [1, True, 2],
+        [0, None, 3],
+        [-(2**70), 2**70, 0],
+        {"z": 1, "a": 2, "\u00e9": 3, "A": 4, "": 5},
+        {"x": [{"kind": "burst", "item": 3}, {"kind": "idle", "item": None}]},
+        {"nan": float("nan"), "inf": [float("inf"), -0.0, 1e300]},
+        {1: "int key", 2: [True]},
+        {None: 1},
+        {True: 1, False: 0},
+        {1.5: 2, 2: 3},
+    ],
+)
+def test_writer_matches_json_dumps_on_edge_values(value):
+    assert chunked_dump(value) == reference_dump(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"a": object()},
+        [1, {2, 3}],
+        {"ratio": Fraction(1, 2)},
+        {(1, 2): 0},
+        {"a": 1, 2: 0},
+    ],
+    ids=["object", "set", "fraction", "tuple-key", "mixed-keys"],
+)
+def test_unencodable_value_raises_type_error(value):
+    with pytest.raises(TypeError):
+        reference_dump(value)
+    with pytest.raises(TypeError):
+        chunked_dump(value)
+
+
+def test_unencodable_report_raises_type_error_from_main(monkeypatch):
+    def bad_results(args):
+        return cli._params_dict(), {"ratio": Fraction(1, 3)}, cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "cmd_check", bad_results)
+    with pytest.raises(TypeError):
+        cli.main(["check"])
+
+
+def reference_parse(lines):
+    """The trace rule without the int() fast path."""
+    items = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            value = int(line)
+        except ValueError:
+            raise TraceError(f"line {lineno}: {line!r} is not an integer") from None
+        if value < 0:
+            raise TraceError(f"line {lineno}: requests must be nonnegative")
+        items.append(value)
+    return items
+
+
+def parse_outcome(parse, lines):
+    try:
+        return parse(lines)
+    except TraceError as exc:
+        return f"TraceError: {exc}"
+
+
+# digits weighted up so that most drawn lines parse; U+0663 is an
+# Arabic-Indic three, which int() accepts
+line_chars = st.sampled_from(
+    list("0123456789" * 3)
+    + list("#+-_ \t\r\f\n\v")
+    + ["\u2028", "\u00a0", "\u0663", "x"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(line_chars, max_size=8), max_size=12))
+def test_parse_trace_matches_reference_rule(lines):
+    assert parse_outcome(parse_trace, lines) == parse_outcome(reference_parse, lines)
+
+
+@pytest.mark.parametrize(
+    "lines,expected",
+    [
+        (["3\n", " 4 \n", "+5\n", "1_0\n", "\t6\r\n", " 7 "], [3, 4, 5, 10, 6, 7]),
+        (["# c\n", "\n", "8 # note\n", "#9\n"], [8]),
+        (["1\n", "-2\n"], "TraceError: line 2: requests must be nonnegative"),
+        (["1\n", "\n", " x1 # y\n"], "TraceError: line 3: 'x1' is not an integer"),
+        (["-\n"], "TraceError: line 1: '-' is not an integer"),
+    ],
+)
+def test_parse_trace_pinned_lines(lines, expected):
+    assert parse_outcome(parse_trace, lines) == expected
+    assert parse_outcome(reference_parse, lines) == expected
