@@ -358,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a trace under a policy")
     common(p_sim, trace=True)
     p_sim.add_argument("--model", default=STANDARD, choices=(STANDARD, ANTIMONOTONE))
-    p_sim.set_defaults(handler=cmd_simulate)
 
     p_adv = sub.add_parser("adversary", help="build the adaptive lower-bound trace")
     common(p_adv)
@@ -366,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_adv.add_argument("--oracle-check", action="store_true")
     p_adv.add_argument("--search-budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p_adv.add_argument("--trace-out", default=None, help="also write the built trace here")
-    p_adv.set_defaults(handler=cmd_adversary)
 
     p_cex = sub.add_parser(
         "counterexample", help="build and verify the extra-hit-hurts trace"
@@ -376,11 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cex.add_argument("--oracle-check", action="store_true")
     p_cex.add_argument("--search-budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p_cex.add_argument("--trace-out", default=None, help="also write the trace here")
-    p_cex.set_defaults(handler=cmd_counterexample)
 
     p_red = sub.add_parser("reduce", help="check the k+Z reduction on a trace")
     common(p_red, trace=True)
-    p_red.set_defaults(handler=cmd_reduce)
 
     p_chk = sub.add_parser("check", help="seeded randomized property sweeps")
     p_chk.add_argument("--suite", default="latency", choices=sorted(_SUITES))
@@ -388,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--seed", type=int, default=0)
     p_chk.add_argument("--idle-prob", type=float, default=0.25)
     p_chk.add_argument("--out", default=None)
-    p_chk.set_defaults(handler=cmd_check)
 
     return parser
 
@@ -443,11 +438,19 @@ def _emit(envelope, out_path):
         sys.stdout.writelines(chunks)
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        # built on the first call, not at import, and reused by every later one
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # looked up per call, so a replaced cmd_* module attribute takes effect
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        params, results, code = args.handler(args)
+        params, results, code = handler(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))

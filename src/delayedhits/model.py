@@ -3,11 +3,12 @@
 The model runs in integer timesteps. Each timestep has a request phase
 (item ``i_t`` arrives; 0 marks an idle slot) and a retrieval phase (the
 backing-store fetch dispatched ``delay - 1`` steps earlier returns and
-serves every queued request for its item). A request for a resident item
-is a hit and costs 0. A miss enqueues the request and dispatches a fetch;
-if an earlier same-item fetch is still in flight the request is served by
-it sooner (a delayed hit, cost in 1..delay-1), otherwise it waits the
-full ``delay``.
+serves every request still waiting for its item). A request for a
+resident item is a hit and costs 0. A miss dispatches a fetch; if an
+earlier same-item fetch is still in flight the request is served by it
+sooner (a delayed hit, cost in 1..delay-1), otherwise it waits the full
+``delay``. Either way its latency is fixed the moment it misses, so the
+simulator keeps no request queues, only the fetches in flight.
 
 Two variants are supported. The standard model dispatches a fetch only on
 a miss. The antimonotone variant dispatches on every nonzero request,
@@ -136,7 +137,6 @@ class Simulation:
         self.cache = dict.fromkeys(params.initial_cache())
         # in-flight state; the tuples are replaced, never mutated, so a
         # clone can share them
-        self.pending = {}      # item -> request times queued for its next return
         self.fetches = {}      # return time -> item; one dispatch per timestep
         self.fetch_times = {}  # item -> return times of its fetches in flight
         self.hit_bits = []
@@ -144,7 +144,7 @@ class Simulation:
         self.eviction_sequence = []
         self.insertions = None  # (item cached, earlier insertions) chain, shared by clones
         self.committed = 0     # latency of every request so far, fixed when it misses
-        self.last_served = ()  # (request time, latency) pairs of the last retrieval
+        self.served_at = None  # time of the last retrieval that brought an item back
 
     # -- request phase -------------------------------------------------
 
@@ -181,29 +181,44 @@ class Simulation:
         self.hit_bits.append(0)
         self.per_request_latency.append(latency)
         self.committed += latency
-        self.pending[item] = self.pending.get(item, ()) + (t,)
         return False
 
     # -- retrieval phase -----------------------------------------------
 
     def retrieval_serve(self) -> int | None:
-        """Return the fetch due now (if any) and serve its queued requests."""
+        """Return the fetch due now (if any), which serves the requests
+        waiting for it; their latencies were fixed when they missed."""
         t = self.t
         returned = self.fetches.pop(t, None)
         if returned is None:
-            self.last_served = ()
+            self.served_at = None
             return None
         times = self.fetch_times[returned]
         if len(times) == 1:
             del self.fetch_times[returned]
         else:
             self.fetch_times[returned] = times[1:]
-        waiting = self.pending.pop(returned, None)
-        if waiting is None:
-            self.last_served = ()
-        else:
-            self.last_served = tuple([(t0, t - t0 + 1) for t0 in waiting])
+        self.served_at = t
         return returned
+
+    @property
+    def last_served(self) -> tuple[tuple[int, int], ...]:
+        """(request time, latency) of each request the last retrieval served.
+
+        Derived on demand: a miss at t0 with latency L is served at
+        t0 + L - 1, and one fetch at most returns per timestep, so the
+        requests served at t are the misses among the last ``delay``
+        requests whose latency ends at t.
+        """
+        t = self.served_at
+        if t is None:
+            return ()
+        latency = self.per_request_latency
+        return tuple(
+            (t0, t - t0 + 1)
+            for t0 in range(max(1, t - self.params.delay + 1), min(t, len(latency)) + 1)
+            if latency[t0 - 1] == t - t0 + 1
+        )
 
     def needs_decision(self, returned) -> bool:
         return returned is not None and returned not in self.cache
@@ -233,11 +248,13 @@ class Simulation:
     def step(self, item: int, policy=None) -> int | None:
         """Run one full timestep, consulting ``policy`` at a decision point,
         and return the item that came back (None if nothing did)."""
+        if policy is None:
+            self.request_phase(item)
+            return self.retrieval_serve()
         hit = self.request_phase(item)
-        if policy is not None:
-            policy.observe(self.t, item, hit)
+        policy.observe(self.t, item, hit)
         returned = self.retrieval_serve()
-        if policy is not None and self.needs_decision(returned):
+        if self.needs_decision(returned):
             evicted = policy.choose_eviction(self.t, returned, self.cache.keys())
             self.apply_eviction(returned, evicted)
         return returned
@@ -251,21 +268,22 @@ class Simulation:
     # -- search support --------------------------------------------------
 
     def committed_latency(self) -> int:
-        """Latency already determined: served requests plus queued ones.
+        """Latency of every request so far, served or still waiting.
 
-        A queued request's serving fetch is fixed the moment it misses (the
-        earliest same-item fetch then in flight), so this is exact, not a
-        bound, and makes a sharp branch-and-bound prune. It is kept as a
-        running total, so reading it is O(1).
+        A miss's serving fetch is fixed the moment it misses (the earliest
+        same-item fetch then in flight), so this is exact, not a bound, and
+        makes a sharp branch-and-bound prune. It is kept as a running
+        total, so reading it is O(1).
         """
         return self.committed
 
     def clone(self) -> "Simulation":
+        """An independent copy: the cache, the fetches in flight and the
+        three per-step lists are copied; the insertion chain is shared."""
         twin = object.__new__(Simulation)
         twin.params = self.params
         twin.t = self.t
         twin.cache = self.cache.copy()
-        twin.pending = self.pending.copy()
         twin.fetches = self.fetches.copy()
         twin.fetch_times = self.fetch_times.copy()
         twin.hit_bits = self.hit_bits[:]
@@ -273,7 +291,7 @@ class Simulation:
         twin.eviction_sequence = self.eviction_sequence[:]
         twin.insertions = self.insertions
         twin.committed = self.committed
-        twin.last_served = self.last_served
+        twin.served_at = self.served_at
         return twin
 
     def result(self) -> SimulationResult:
@@ -308,7 +326,7 @@ def simulate(params: ModelParams, sequence, policy) -> SimulationResult:
     The policy is reset first, observes every request phase (idle slots
     included), and is consulted whenever a fetch returns an item that is
     not resident. Retrieval phases after the end of the trace still serve
-    queued requests, so every incurred latency is charged, but they offer
+    waiting requests, so every incurred latency is charged, but they offer
     no caching decision: the eviction sequence has exactly one entry per
     trace position.
     """

@@ -13,12 +13,14 @@ decisions: decline first, then each resident in ascending order. A
 branch is cut once a lower bound on its total (the committed latency
 plus that of the future requests that miss whatever is evicted later)
 reaches the best total found, keeping the first witness, or exceeds it,
-keeping ties. A transposition table maps (t, cache, fetches in flight),
-which fixes every future cost and hit bit, to the least committed
-latency seen there, and cuts revisits that can do no better, or every
-revisit when only the first feasible schedule is wanted. Past the start
-it holds at most k+1 entries per decision node, so the node budget
-bounds its memory. The searches are exact and refuse oversized instances.
+keeping ties. The feasibility search instead cuts an eviction at once
+when the victim must miss a request the target marks as a hit. A
+transposition table maps (t, cache, fetches in flight), which fixes every
+future cost and hit bit, to the least committed latency seen there, and
+cuts revisits that can do no better, or every revisit when only the first
+feasible schedule is wanted. Past the start it holds at most k+1 entries
+per decision node, so the node budget bounds its memory. The searches
+are exact and refuse oversized instances.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from itertools import accumulate
 
 from .model import ModelParams, Simulation, validate_sequence
 from .latency import normalize_hit_bits
+from .traces import request_times
 
 DEFAULT_SEARCH_BUDGET = 2**22
 
@@ -159,10 +162,7 @@ class BeladyPolicy(Policy):
     name = "belady"
 
     def __init__(self, sequence):
-        self.positions = {}
-        for pos, item in enumerate(sequence, start=1):
-            if item != 0:
-                self.positions.setdefault(item, []).append(pos)
+        self.positions = request_times(sequence)
 
     def _next_use(self, item, t):
         occ = self.positions.get(item)
@@ -248,27 +248,31 @@ class OptResult:
     nodes: int = 0              # decision nodes the search visited
 
 
-def _forced_latency(params, sequence):
-    """f(sim): the latency of the future requests no schedule can avoid.
+def _miss_window(sim, item, times, delay):
+    """(lo, hi, r): non-resident ``item`` stays out until a fetch of it returns
+    at r, the one in flight or else the one its next request s1 dispatches,
+    r = s1 + delay - 1, so its requests in (t, r], times[lo:hi], must miss."""
+    lo = bisect_right(times, sim.t)
+    if lo == len(times):
+        return lo, lo, 0
+    flight = sim.fetch_times.get(item)
+    end = flight[0] if flight else times[lo] + delay - 1
+    return lo, bisect_right(times, end, lo), end
 
-    A non-resident item stays out until a fetch of it returns at some r:
-    the one in flight, or else the one its next request s1 dispatches,
-    r = s1 + delay - 1. Its requests at s in (t, r] cost r - s + 1 each,
-    summed in O(log T) per item from its request times and prefix sums.
-    """
-    times_of = BeladyPolicy(sequence).positions
+
+def _forced_latency(params, sequence):
+    """f(sim): the latency of the future requests no schedule can avoid,
+    r - s + 1 for each request at s in a non-resident item's miss window,
+    summed in O(log T) per item from its request times and prefix sums."""
+    times_of = request_times(sequence)
     table = [(item, times, [0, *accumulate(times)]) for item, times in times_of.items()]
 
     def forced(sim):
         total = 0
         for item, times, prefix in table:
-            lo = bisect_right(times, sim.t)
-            if item in sim.cache or lo == len(times):
-                continue
-            flight = sim.fetch_times.get(item)
-            end = flight[0] if flight else times[lo] + params.delay - 1
-            hi = bisect_right(times, end, lo)
-            total += (hi - lo) * (end + 1) - (prefix[hi] - prefix[lo])
+            if item not in sim.cache:
+                lo, hi, end = _miss_window(sim, item, times, params.delay)
+                total += (hi - lo) * (end + 1) - (prefix[hi] - prefix[lo])
         return total
 
     return forced
@@ -281,8 +285,14 @@ def _search(params, sequence, node_budget, cut, target=None):
     for every optimum, or None to stop at the first run that realizes ``target``.
     """
     validate_sequence(params, sequence)
+    pinned = {}
     if target is not None:
         target = normalize_hit_bits(sequence, target)
+        # each item's request times, and prefix counts of the target's hits there
+        pinned = {
+            item: (times, [0, *accumulate(target[s - 1] for s in times)])
+            for item, times in request_times(sequence).items()
+        }
     forced = _forced_latency(params, sequence) if cut else None
     seen, optima = {}, {}
     nodes, best = 0, _NEVER
@@ -293,6 +303,12 @@ def _search(params, sequence, node_budget, cut, target=None):
         is cut or reaches its end."""
         nonlocal best
         sim.apply_eviction(returned, choice)
+        if choice in pinned:
+            # a hit the target wants in the victim's miss window cannot happen
+            times, hits = pinned[choice]
+            lo, hi, _ = _miss_window(sim, choice, times, params.delay)
+            if hits[hi] > hits[lo]:
+                return None
         key = (sim.t, frozenset(sim.cache), frozenset(sim.fetches.items()))
         stored = seen.get(key)
         if stored is not None and (cut is None or cut(sim.committed, stored)):
@@ -310,7 +326,6 @@ def _search(params, sequence, node_budget, cut, target=None):
                 return None
             if sim.needs_decision(returned):
                 return returned
-        sim.drain()
         # a run the cut lets through beats every run before it, or ties under >
         if sim.committed < best:
             best = sim.committed

@@ -47,6 +47,15 @@ def write_trace(path, sequence) -> None:
             fh.write(f"{item}\n")
 
 
+def request_times(sequence) -> dict[int, list[int]]:
+    """Each requested item's request times (1-based), in ascending order."""
+    times = {}
+    for t, item in enumerate(sequence, start=1):
+        if item != 0:
+            times.setdefault(item, []).append(t)
+    return times
+
+
 def infer_num_items(sequence) -> int:
     return max([1, *sequence])
 

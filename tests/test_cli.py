@@ -5,6 +5,9 @@ import hashlib
 import json
 import operator
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -309,6 +312,51 @@ def test_check_output_is_deterministic(capsys):
     main(["check", "--suite", "latency", "--cases", "15", "--seed", "3"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    """The parser is built on the first call only; later calls reuse it and
+    give the bytes a fresh parser gives, with no option carried over."""
+    trace = _seeded_trace(tmp_path / "t.txt", 5, 6, 60)
+    out = tmp_path / "report.json"
+    calls = [
+        ["check", "--suite", "reduction", "--cases", "12", "--seed", "7"],
+        ["simulate", trace, "-k", "3", "-Z", "6", "--policy", "fifo", "--out", str(out)],
+        ["simulate", trace],
+        ["check", "--suite", "reduction", "--cases", "12"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, captured.out, captured.err, written
+
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run(argv))
+    parser = cli._parser
+    for _ in range(2):
+        assert [run(argv) for argv in calls] == fresh
+    assert cli._parser is parser
+
+    # the defaults hold after calls that set every option
+    stdout = {i: json.loads(f[1]) for i, f in enumerate(fresh) if f[1]}
+    assert fresh[1][1] == "" and fresh[1][3] is not None
+    assert stdout[2]["params"] == {"n": 6, "k": 2, "Z": 4, "mode": "standard",
+                                   "policy": "lru", "seed": None}
+    assert (stdout[0]["params"]["seed"], stdout[3]["params"]["seed"]) == (7, 0)
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "from delayedhits import cli; assert cli._parser is None"
+    )
+    subprocess.run([sys.executable, "-c", probe], check=True)
 
 
 def test_report_written_to_file(tmp_path, capsys):

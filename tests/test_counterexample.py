@@ -12,10 +12,11 @@ from delayedhits import (
     counterexample_sequence,
     delayed_hits_latency,
     dominates,
+    is_hit_sequence_feasible,
     replay,
     verify_nonantimonotonicity,
 )
-from delayedhits.model import VerificationError
+from delayedhits.model import Simulation, VerificationError
 
 
 def test_building_block_closed_forms():
@@ -121,6 +122,34 @@ def test_search_witnesses_replay_to_their_vectors():
     assert tuple(run.hit_sequence) == cspec.baseline_bits
     run = replay(params, list(cspec.sequence), report.extra_hit_witness)
     assert tuple(run.hit_sequence) == cspec.extra_hit_bits
+
+
+def test_feasibility_search_cuts_pinned_evictions_early(monkeypatch):
+    """A wrong eviction of an item the baseline hits must be cut when it is
+    made, not thousands of steps later when the item's block arrives.
+
+    Counted in request phases, not seconds or decision nodes: the cut
+    leaves the decision nodes as they were and shortens the runs between
+    them. Without it this search makes 722 840 request phases; with it,
+    76 156."""
+    calls = 0
+    request_phase = Simulation.request_phase
+
+    def counting(self, item):
+        nonlocal calls
+        calls += 1
+        return request_phase(self, item)
+
+    monkeypatch.setattr(Simulation, "request_phase", counting)
+    cspec = counterexample_sequence(60, 20)
+    feasible, witness = is_hit_sequence_feasible(
+        cspec.params(), list(cspec.sequence), list(cspec.baseline_bits)
+    )
+    assert feasible
+    assert calls < 100_000
+    monkeypatch.undo()
+    run = replay(cspec.params(), list(cspec.sequence), witness)
+    assert tuple(run.hit_sequence) == cspec.baseline_bits
 
 
 def test_exhaustive_optimum_at_spec_point():

@@ -7,8 +7,12 @@ import pytest
 
 from delayedhits import (
     ANTIMONOTONE,
+    STANDARD,
     InfeasibleEvictionError,
     ModelParams,
+    Simulation,
+    antimonotone_latency,
+    delayed_hits_latency,
     lru_policy,
     make_policy,
     never_cache_policy,
@@ -196,6 +200,54 @@ def test_fetch_on_hit_never_slower_under_same_schedule():
         assert variant.cache_history == standard.cache_history
         for fast, slow in zip(variant.per_request_latency, standard.per_request_latency):
             assert fast <= slow
+
+
+@pytest.mark.parametrize("mode", [STANDARD, ANTIMONOTONE])
+def test_last_served_matches_request_times_past_the_end(mode):
+    """``last_served`` is derived from the latencies alone; check it against
+    a queue of the misses still waiting, through the retrievals that run
+    after the trace has ended, which only draining reaches."""
+    rng = random.Random(31)
+    past_end = 0
+    for _ in range(60):
+        k, delay, n, seq = draw_instance(rng, max_length=30, max_delay=9)
+        # misses near the end leave fetches in flight past it
+        seq += [rng.randint(1, n) for _ in range(3)]
+        params = ModelParams(n, k, delay, mode)
+        policy = RandomEvictionPolicy(rng.randrange(2**30))
+        policy.reset(params)
+        sim = Simulation(params)
+        waiting, served = [], []
+
+        def check(returned):
+            t = sim.t
+            expected = tuple((t0, t - t0 + 1) for it, t0 in waiting if it == returned)
+            assert sim.last_served == expected
+            waiting[:] = [(it, t0) for it, t0 in waiting if it != returned]
+            served.extend(expected)
+            return len(expected)
+
+        for item in seq:
+            hit = sim.request_phase(item)
+            if hit is False:
+                waiting.append((item, sim.t))
+            policy.observe(sim.t, item, hit)
+            returned = sim.retrieval_serve()
+            check(returned)
+            if sim.needs_decision(returned):
+                sim.apply_eviction(
+                    returned, policy.choose_eviction(sim.t, returned, sim.cache.keys())
+                )
+        while sim.fetches:
+            sim.t += 1
+            past_end += check(sim.retrieval_serve())
+        assert not waiting
+        closed_form = (
+            antimonotone_latency if mode == ANTIMONOTONE else delayed_hits_latency
+        )
+        _, per = closed_form(seq, delay, sim.hit_bits)
+        assert sorted(served) == [(t0, lat) for t0, lat in enumerate(per, 1) if lat]
+    assert past_end > 0
 
 
 def test_empty_trace():
