@@ -174,6 +174,7 @@ def cmd_counterexample(args):
         step = (
             "baseline feasibility" if report.baseline_witness is None
             else "extra-hit feasibility" if report.extra_hit_witness is None
+            else "optimum" if report.opt_latency is None
             else "unique-optimum"
         )
         code, error = EXIT_BUDGET, f"{step} search: {exc}"
@@ -388,14 +389,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# items per %-formatted slice of an all-int list in a report
+_INT_SLICE = 4096
+
+
 def _json_chunks(value, newline="\n"):
     """Yield ``json.dumps(value, indent=2, sort_keys=True)`` in pieces.
 
     Each key and scalar is encoded by ``json.dumps`` itself, so strings,
     floats, bools and None, and the TypeError for anything unencodable,
-    are json's own. A list of plain ints (bools excluded) is joined in one
-    piece: that is where a long report's bytes are. ``newline`` is a line
-    break followed by the indent of the line ``value`` starts on.
+    are json's own. A list of plain ints (bools excluded), where a long
+    report's bytes are, is %-formatted ``_INT_SLICE`` items at a time:
+    ``"%d"`` spells an exact int as ``str`` does, and the slices bound
+    the writer's memory. ``newline`` is a line break followed by the
+    indent of the line ``value`` starts on.
     """
     if isinstance(value, dict):
         if not value:
@@ -415,15 +422,18 @@ def _json_chunks(value, newline="\n"):
             yield "[]"
             return
         inner = newline + "  "
-        if all(type(x) is int for x in value):
-            yield "[" + inner
-            yield ("," + inner).join(map(str, value))
+        sep = "," + inner
+        opener = "[" + inner
+        if {*map(type, value)} == {int}:
+            for start in range(0, len(value), _INT_SLICE):
+                part = tuple(value[start:start + _INT_SLICE])
+                yield opener + sep.join(["%d"] * len(part)) % part
+                opener = sep
         else:
-            opener = "[" + inner
             for item in value:
                 yield opener
                 yield from _json_chunks(item, inner)
-                opener = "," + inner
+                opener = sep
         yield newline + "]"
     else:
         yield json.dumps(value)

@@ -219,10 +219,11 @@ def verify_unique_optimum(
 ) -> NonAntimonotonicityReport:
     """Check by exhaustive search that the baseline vector is the unique optimum.
 
-    Fills in ``report.opt_latency`` and ``report.opt_unique`` once both
-    searches pass and returns the report. If a search raises, the report
-    is left as it was, so a caller that catches
-    :class:`SearchBudgetExceeded` keeps the rest of the evidence.
+    Fills in ``report.opt_latency`` once the optimum search agrees with
+    the baseline, and ``report.opt_unique`` once the set-of-optima search
+    finds it alone, and returns the report. Each stays None until its
+    search passes, so a caller that catches :class:`SearchBudgetExceeded`
+    keeps the evidence found so far and can tell which search overran.
     """
     cspec = report.spec
     params, seq = cspec.params(), list(cspec.sequence)
@@ -231,10 +232,11 @@ def verify_unique_optimum(
         raise VerificationError(
             f"exhaustive optimum {opt_latency} != baseline latency {report.baseline_latency}"
         )
+    report.opt_latency = opt_latency
     _, optima = optimal_hit_sequences(params, seq, node_budget)
     if optima != {tuple(cspec.baseline_bits)}:
         raise VerificationError(
             f"baseline is not the unique optimal hit sequence; found {len(optima)}"
         )
-    report.opt_latency, report.opt_unique = opt_latency, True
+    report.opt_unique = True
     return report

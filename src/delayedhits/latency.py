@@ -15,8 +15,8 @@ Both functions below return the total and the per-request latency
 vector; they are the analytic counterparts of the event-driven simulator
 and are kept deliberately independent of it.
 
-Hit bits at idle slots carry no information; they are forced to 1 before
-evaluation so the functions are total over all bit vectors.
+Hit bits at idle slots carry no information; the walk skips idle slots,
+so the functions are total over all 0/1 vectors of the trace's length.
 """
 
 from __future__ import annotations
@@ -40,11 +40,13 @@ def normalize_hit_bits(sequence, bits) -> list[int]:
 
 def _latency(sequence, delay, bits, fetch_on_hit) -> tuple[int, list[int]]:
     """The rule above in one walk: each item keeps its dispatch times in a
-    list with a cursor at the oldest one still in flight."""
-    b = normalize_hit_bits(sequence, bits)
+    list with a cursor at the oldest one still in flight. Idle slots are
+    skipped, so their bits are only checked, never pinned."""
+    if len(bits) != len(sequence) or bits.count(0) + bits.count(1) != len(bits):
+        normalize_hit_bits(sequence, bits)  # raises its error for the bad vector
     per = [0] * len(sequence)
     dispatched = defaultdict(lambda: [0, []])
-    for t, (item, hit) in enumerate(zip(sequence, b), start=1):
+    for t, (item, hit) in enumerate(zip(sequence, bits), start=1):
         if item == 0 or (hit and not fetch_on_hit):
             continue
         entry = dispatched[item]

@@ -109,6 +109,9 @@ class SimulationResult:
 
 
 def validate_sequence(params: ModelParams, sequence) -> None:
+    if not sequence or 0 <= min(sequence) and max(sequence) <= params.num_items:
+        return
+    # out of range somewhere: find the first offending timestep
     for pos, item in enumerate(sequence, start=1):
         if not 0 <= item <= params.num_items:
             raise ValueError(

@@ -1,32 +1,59 @@
 """Trace files: one nonnegative integer per line, 0 meaning an idle slot.
 
-Files are read one line at a time; lines end at universal newlines (LF,
-CRLF or CR). Blank lines and '#' comments are ignored. When no universe
-size is given it is inferred as the largest item in the trace (minimum 1
-so parameters stay valid for all-idle traces).
+Files are read a chunk of lines at a time; lines end at universal
+newlines (LF, CRLF or CR). Blank lines and '#' comments are ignored. When
+no universe size is given it is inferred as the largest item in the
+trace (minimum 1 so parameters stay valid for all-idle traces).
 """
 
 from __future__ import annotations
+
+import itertools
 
 
 class TraceError(Exception):
     """The trace file cannot be read or fails validation."""
 
 
+# lines per chunk that parse_trace converts in one map(int, ...) pass
+_PARSE_CHUNK = 4096
+
+
 def parse_trace(lines) -> list[int]:
+    """The requests on the text ``lines``, converted a chunk at a time.
+
+    A chunk of bare nonnegative numbers, the common case, is converted by
+    one ``map(int, ...)`` (int() itself skips whitespace). A chunk that
+    holds anything else, a comment, a blank line, a non-integer or a
+    negative value, goes through the per-line rule instead, which skips
+    what it may and names the first bad line.
+    """
     items = []
-    for lineno, raw in enumerate(lines, start=1):
+    lines = iter(lines)
+    lineno = 0
+    while chunk := list(itertools.islice(lines, _PARSE_CHUNK)):
         try:
-            # a bare number, the common line: int() itself skips whitespace
-            value = int(raw)
+            values = list(map(int, chunk))
         except ValueError:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                value = int(line)
-            except ValueError:
-                raise TraceError(f"line {lineno}: {line!r} is not an integer") from None
+            values = None
+        if values is None or min(values) < 0:
+            values = _parse_lines(chunk, lineno)
+        items += values
+        lineno += len(chunk)
+    return items
+
+
+def _parse_lines(lines, lineno) -> list[int]:
+    """The per-line rule; ``lineno`` is the number of the line before the first."""
+    items = []
+    for lineno, raw in enumerate(lines, start=lineno + 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            value = int(line)
+        except ValueError:
+            raise TraceError(f"line {lineno}: {line!r} is not an integer") from None
         if value < 0:
             raise TraceError(f"line {lineno}: requests must be nonnegative")
         items.append(value)

@@ -182,11 +182,36 @@ def test_counterexample_budget_overrun_runs_each_search_once(capsys, monkeypatch
     assert code == 4
     assert searches == [None, None, operator.ge, operator.gt]
     results = report["results"]
-    assert results["opt_latency"] is None and results["opt_unique"] is None
+    assert results["opt_latency"] == results["baseline_latency"]
+    assert results["opt_unique"] is None
     assert results["gap"] == results["predicted_gap"]
     assert results["baseline_witness"] and results["extra_hit_witness"]
     assert results["search_error"] == (
         "unique-optimum search: instance too large: more than 40 decision nodes"
+    )
+
+
+@pytest.mark.parametrize(
+    "budget,search,opt_latency",
+    [(30, "optimum", None), (40, "unique-optimum", 169)],
+    ids=["optimum", "set-of-optima"],
+)
+def test_counterexample_overrun_names_the_optimum_search_that_overran(
+    capsys, budget, search, opt_latency
+):
+    # both feasibility searches fit either budget; 30 nodes stop the
+    # optimum search, 40 stop only the set-of-optima search after it
+    code, report = run_cli(
+        capsys, "counterexample", "-Z", "26", "-k", "7", "--oracle-check",
+        "--search-budget", str(budget),
+    )
+    assert code == 4
+    results = report["results"]
+    assert results["baseline_witness"] and results["extra_hit_witness"]
+    assert results["opt_latency"] == opt_latency
+    assert results["opt_unique"] is None
+    assert results["search_error"] == (
+        f"{search} search: instance too large: more than {budget} decision nodes"
     )
 
 
@@ -418,6 +443,24 @@ def test_report_bytes_are_pinned(tmp_path, capsys, argv, digest):
     trace = _seeded_trace(tmp_path / "t.txt", 2024, 40, 2000)
     assert main([trace if arg == "TRACE" else arg for arg in argv]) == 0
     out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "policy,digest",
+    [
+        ("lru", "1f5e5120d4d71c6259a240c53674f14d191c6635dd0f21d6177f6c291b4b3b56"),
+        ("fifo", "a832670b3ad9bbcde759259c5008a4f0e12bad8488c33cf4d679dfd61437db28"),
+    ],
+)
+def test_report_bytes_are_pinned_past_two_int_slices(tmp_path, capsys, policy, digest):
+    # 9000 requests: each result vector spans three of the writer's slices
+    assert 9000 > 2 * cli._INT_SLICE + 1
+    trace = _seeded_trace(tmp_path / "t.txt", 2024, 40, 9000)
+    argv = ["simulate", trace, "-n", "40", "-k", "6", "-Z", "9", "--policy", policy]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -3,6 +3,7 @@ against ``json.dumps(indent=2, sort_keys=True)``, and the trace parser's
 int() fast path against the plain comment-and-strip rule."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delayedhits import cli
-from delayedhits.cli import _json_chunks
-from delayedhits.traces import TraceError, parse_trace
+from delayedhits.cli import _INT_SLICE, _json_chunks
+from delayedhits.traces import _PARSE_CHUNK, TraceError, parse_trace
 
 
 def reference_dump(value):
@@ -20,6 +21,11 @@ def reference_dump(value):
 
 def chunked_dump(value):
     return "".join(_json_chunks(value))
+
+
+def signed_ints(length):
+    # mixed signs and widths, so every slice spells many lengths of number
+    return [(-1) ** i * i * 7919 for i in range(length)]
 
 
 scalars = st.one_of(
@@ -73,10 +79,30 @@ def test_writer_matches_json_dumps(value):
         {None: 1},
         {True: 1, False: 0},
         {1.5: 2, 2: 3},
+        # all-int lists at the writer's slice boundaries, top level and nested
+        signed_ints(_INT_SLICE - 1),
+        signed_ints(_INT_SLICE),
+        tuple(signed_ints(_INT_SLICE + 1)),
+        signed_ints(2 * _INT_SLICE + 1),
+        {"a": [signed_ints(_INT_SLICE + 1), []], "b": signed_ints(2 * _INT_SLICE)},
     ],
 )
 def test_writer_matches_json_dumps_on_edge_values(value):
     assert chunked_dump(value) == reference_dump(value)
+
+
+def test_writer_memory_is_bounded_by_a_slice():
+    # one long vector, written chunk by chunk as _emit does: the writer
+    # holds one slice's text at a time, not a str per item plus the join
+    vector = [i * 7919 % 10**6 for i in range(200_000)]
+    tracemalloc.start()
+    try:
+        written = sum(len(chunk) for chunk in _json_chunks({"v": vector}))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert written == len(reference_dump({"v": vector}))
+    assert peak < 1_000_000, f"writer peaked at {peak} bytes for {written} written"
 
 
 @pytest.mark.parametrize(
@@ -156,5 +182,49 @@ def test_parse_trace_matches_reference_rule(lines):
     ],
 )
 def test_parse_trace_pinned_lines(lines, expected):
+    assert parse_outcome(parse_trace, lines) == expected
+    assert parse_outcome(reference_parse, lines) == expected
+
+
+def chunk_boundary_lines(special, at):
+    """Three chunks and a bit of bare numbers with ``special`` at each
+    0-based index in ``at``."""
+    lines = [f"{i % 97}\n" for i in range(3 * _PARSE_CHUNK + 5)]
+    for pos in at:
+        lines[pos] = special
+    return lines
+
+
+BOUNDARY_SIDES = {
+    "last-of-chunk": [_PARSE_CHUNK - 1],
+    "first-of-chunk": [_PARSE_CHUNK],
+    "both-sides": [_PARSE_CHUNK - 1, _PARSE_CHUNK],
+    "second-boundary": [2 * _PARSE_CHUNK],
+    "last-line": [3 * _PARSE_CHUNK + 4],
+}
+
+
+@pytest.mark.parametrize("side", sorted(BOUNDARY_SIDES))
+@pytest.mark.parametrize(
+    "special",
+    ["# note\n", "\n", "  \r\n", "7 # trailing\n", "x1\n", "-3\n", "1.5\n"],
+    ids=["comment", "blank", "space", "numbered-comment", "non-integer",
+         "negative", "float"],
+)
+def test_parse_trace_at_chunk_boundaries(special, side):
+    lines = chunk_boundary_lines(special, BOUNDARY_SIDES[side])
+    expected = parse_outcome(reference_parse, lines)
+    assert parse_outcome(parse_trace, lines) == expected
+    assert parse_outcome(parse_trace, iter(lines)) == expected
+
+
+def test_parse_trace_names_the_first_bad_line_across_chunks():
+    # a comment-only first chunk, then a negative in the next chunk and a
+    # non-integer in the one after: the negative's line is reported
+    lines = chunk_boundary_lines("3\n", [])
+    lines[:_PARSE_CHUNK] = ["# header\n"] * _PARSE_CHUNK
+    lines[_PARSE_CHUNK + 7] = "-1\n"
+    lines[2 * _PARSE_CHUNK] = "oops\n"
+    expected = f"TraceError: line {_PARSE_CHUNK + 8}: requests must be nonnegative"
     assert parse_outcome(parse_trace, lines) == expected
     assert parse_outcome(reference_parse, lines) == expected
