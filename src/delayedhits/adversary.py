@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import ModelParams, simulate
+from .model import ModelParams, Simulation, simulate
 from .policies import static_policy
 
 
@@ -67,10 +67,12 @@ class AdversaryReport:
 def build_adversarial_sequence(policy, params: ModelParams, cap=None) -> AdversaryReport:
     """Build the adaptive trace against ``policy`` and certify the ratio bound.
 
-    ``policy`` must be deterministic: the construction re-simulates it on
-    every extended prefix and reads its cache at the quiescent instant
-    after each segment (all fetches returned, so the cache is
-    well-defined). Marked items are the burst targets; construction stops
+    ``policy`` must be deterministic. The construction steps one run of it
+    forward a segment at a time and reads its cache at the quiescent
+    instant after each segment (all fetches returned, so the cache is
+    well-defined). The finished trace is then simulated again from a fresh
+    reset, and any hit there means the policy did not replay its own run:
+    RuntimeError. Marked items are the burst targets; construction stops
     when k distinct items have been marked or after ``cap`` bursts
     (default 10*k), whichever comes first. A capped report is flagged and
     its bound uses the actual burst count.
@@ -86,17 +88,19 @@ def build_adversarial_sequence(policy, params: ModelParams, cap=None) -> Adversa
     candidates = set(range(1, k + 2))
 
     segments = [pure_segment(k + 1, delay)]
-    trace = list(segments[0].rendered)
     marked = set()
+    policy.reset(params)
+    run = Simulation(params)
     while len(marked) < k and len(segments) - 1 < cap:
-        quiescent = simulate(params, trace, policy)
-        absent = candidates - quiescent.final_cache()
-        target = min(absent)
-        segment = bursty_segment(target, delay)
-        segments.append(segment)
-        trace.extend(segment.rendered)
+        for item in segments[-1].rendered:
+            run.step(item, policy)
+        # every segment ends in delay idle slots, so no fetch is in flight
+        target = min(candidates - run.cache.keys())
+        segments.append(bursty_segment(target, delay))
         marked.add(target)
+    trace = [item for segment in segments for item in segment.rendered]
 
+    # the one independent re-run, from a fresh reset, that the bound rests on
     outcome = simulate(params, trace, policy)
     for pos, item in enumerate(trace):
         if item != 0 and outcome.hit_sequence[pos] == 1:

@@ -18,9 +18,13 @@ when the victim must miss a request the target marks as a hit. A
 transposition table maps (t, cache, fetches in flight), which fixes every
 future cost and hit bit, to the least committed latency seen there, and
 cuts revisits that can do no better, or every revisit when only the first
-feasible schedule is wanted. Past the start it holds at most k+1 entries
-per decision node, so the node budget bounds its memory. The searches
-are exact and refuse oversized instances.
+feasible schedule is wanted. It holds at most k+1 entries per decision
+node, so the node budget bounds its memory. A node settles all three
+cuts for each of its choices from the paused run, since a choice only
+swaps the returned item for the victim; only the choices that survive
+are cloned, and the bound is tested again, against the best total by
+then, when a choice is taken. The searches are exact and refuse
+oversized instances.
 """
 
 from __future__ import annotations
@@ -147,8 +151,7 @@ class StaticPolicy(Policy):
     def choose_eviction(self, t, item, cache):
         if item not in self.items:
             return 0
-        spare = sorted(cache - self.items)
-        return spare[0] if spare else 0
+        return min(cache - self.items, default=0)
 
 
 class BeladyPolicy(Policy):
@@ -251,7 +254,9 @@ class OptResult:
 def _miss_window(sim, item, times, delay):
     """(lo, hi, r): non-resident ``item`` stays out until a fetch of it returns
     at r, the one in flight or else the one its next request s1 dispatches,
-    r = s1 + delay - 1, so its requests in (t, r], times[lo:hi], must miss."""
+    r = s1 + delay - 1, so its requests in (t, r], times[lo:hi], must miss.
+    It reads only ``sim.t`` and ``sim.fetch_times``, which an eviction leaves
+    as they are."""
     lo = bisect_right(times, sim.t)
     if lo == len(times):
         return lo, lo, 0
@@ -260,22 +265,54 @@ def _miss_window(sim, item, times, delay):
     return lo, bisect_right(times, end, lo), end
 
 
+def _forced_terms(params, sequence):
+    """terms(sim): each requested item's term of the forced latency, were it
+    not resident: r - s + 1 for each request at s in its miss window, summed
+    in O(log T) per item from its request times and prefix sums."""
+    table = [(item, times, [0, *accumulate(times)])
+             for item, times in request_times(sequence).items()]
+    delay = params.delay
+
+    def terms(sim):
+        shares = {}
+        for item, times, prefix in table:
+            lo, hi, end = _miss_window(sim, item, times, delay)
+            shares[item] = (hi - lo) * (end + 1) - (prefix[hi] - prefix[lo])
+        return shares
+
+    return terms
+
+
 def _forced_latency(params, sequence):
-    """f(sim): the latency of the future requests no schedule can avoid,
-    r - s + 1 for each request at s in a non-resident item's miss window,
-    summed in O(log T) per item from its request times and prefix sums."""
-    times_of = request_times(sequence)
-    table = [(item, times, [0, *accumulate(times)]) for item, times in times_of.items()]
+    """f(sim): the latency of the future requests no schedule can avoid, the
+    sum of the terms of the items not resident."""
+    terms = _forced_terms(params, sequence)
 
     def forced(sim):
-        total = 0
-        for item, times, prefix in table:
-            if item not in sim.cache:
-                lo, hi, end = _miss_window(sim, item, times, params.delay)
-                total += (hi - lo) * (end + 1) - (prefix[hi] - prefix[lo])
-        return total
+        return sum(term for item, term in terms(sim).items() if item not in sim.cache)
 
     return forced
+
+
+def _branches(sim, returned, terms):
+    """(choice, key, bound) for each choice at the decision ``sim`` is paused
+    at, decline first and then each resident in ascending order: the
+    transposition key and committed + forced of the run after
+    ``apply_eviction(returned, choice)``, derived from the paused run. A
+    choice only swaps ``returned`` for the victim, so no clone is needed;
+    the bound is None without ``terms``."""
+    cache = frozenset(sim.cache)
+    grown = cache | {returned}
+    fetches = frozenset(sim.fetches.items())
+    share = declined = None
+    if terms is not None:
+        share = terms(sim)
+        declined = sim.committed + sum(v for item, v in share.items() if item not in cache)
+        swapped = declined - share[returned]
+    yield 0, (sim.t, cache, fetches), declined
+    for victim in sorted(cache):
+        bound = None if share is None else swapped + share.get(victim, 0)
+        yield victim, (sim.t, grown - {victim}, fetches), bound
 
 
 def _search(params, sequence, node_budget, cut, target=None):
@@ -293,29 +330,14 @@ def _search(params, sequence, node_budget, cut, target=None):
             item: (times, [0, *accumulate(target[s - 1] for s in times)])
             for item, times in request_times(sequence).items()
         }
-    forced = _forced_latency(params, sequence) if cut else None
+    terms = _forced_terms(params, sequence) if cut else None
     seen, optima = {}, {}
     nodes, best = 0, _NEVER
 
-    def run(sim, returned, choice):
-        """Take ``choice`` at the decision ``sim`` is paused at and run on to
-        the next decision: the item returned there, or None once the branch
-        is cut or reaches its end."""
+    def advance(sim):
+        """Run on from a choice to the next decision: the item returned
+        there, or None once the branch is cut or reaches its end."""
         nonlocal best
-        sim.apply_eviction(returned, choice)
-        if choice in pinned:
-            # a hit the target wants in the victim's miss window cannot happen
-            times, hits = pinned[choice]
-            lo, hi, _ = _miss_window(sim, choice, times, params.delay)
-            if hits[hi] > hits[lo]:
-                return None
-        key = (sim.t, frozenset(sim.cache), frozenset(sim.fetches.items()))
-        stored = seen.get(key)
-        if stored is not None and (cut is None or cut(sim.committed, stored)):
-            return None
-        seen[key] = sim.committed
-        if cut and cut(sim.committed + forced(sim), best):
-            return None
         while sim.t < len(sequence):
             pos = sim.t
             sim.request_phase(sequence[pos])
@@ -333,18 +355,45 @@ def _search(params, sequence, node_budget, cut, target=None):
         optima.setdefault(tuple(sim.hit_bits), sim.eviction_sequence)
         return None
 
+    def survivors(sim, returned):
+        """The choices at a decision that no cut settles on the spot, each
+        with its bound, in pop order. Every descendant decides later, so no
+        key of this time is read or written before the choices are popped."""
+        kept = []
+        for choice, key, bound in _branches(sim, returned, terms):
+            if choice in pinned:
+                # a hit the target wants in the victim's miss window cannot happen
+                times, hits = pinned[choice]
+                lo, hi, _ = _miss_window(sim, choice, times, params.delay)
+                if hits[hi] > hits[lo]:
+                    continue
+            stored = seen.get(key)
+            if stored is not None and (cut is None or cut(sim.committed, stored)):
+                continue
+            seen[key] = sim.committed
+            if cut and cut(bound, best):
+                continue
+            kept.append((bound, choice))
+        kept.reverse()
+        return kept
+
     # depth first without recursion: each frame is a paused decision and
-    # its choices still to take, popped from the end; every choice but the
-    # last runs on a clone, the last on the paused run itself
-    stack = [(Simulation(params), None, [0])]
+    # its surviving choices, popped from the end; the bound is tested again
+    # at the pop against the best total by then, and every choice but the
+    # last runs on a clone, the last on the paused run itself. The root is
+    # a decline with nothing returned.
+    stack = [(Simulation(params), None, [(0, 0)])]
     while stack and not (cut is None and optima):
         sim, returned, choices = stack[-1]
-        choice = choices.pop()
+        bound, choice = choices.pop()
+        if not choices:
+            stack.pop()
+        if cut and cut(bound, best):
+            continue
         if choices:
             sim = sim.clone()
-        else:
-            stack.pop()
-        returned = run(sim, returned, choice)
+        sim.apply_eviction(returned, choice)
+        returned = advance(sim)
         if returned is None:
             continue
         nodes += 1
@@ -352,7 +401,9 @@ def _search(params, sequence, node_budget, cut, target=None):
             raise SearchBudgetExceeded(
                 f"instance too large: more than {node_budget} decision nodes"
             )
-        stack.append((sim, returned, [*sorted(sim.cache, reverse=True), 0]))
+        choices = survivors(sim, returned)
+        if choices:
+            stack.append((sim, returned, choices))
     return best, optima, nodes
 
 

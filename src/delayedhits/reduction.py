@@ -82,8 +82,7 @@ class ReductionPolicy(Policy):
         protected = set(self.inner.cache)
         horizon = t - self.window + 1
         protected.update(y for y, s in self.last_request.items() if s >= horizon)
-        disposable = sorted(cache - protected)
-        return disposable[0] if disposable else 0
+        return min(cache - protected, default=0)
 
 
 # the factory name the package has always exported

@@ -7,6 +7,7 @@ import pytest
 
 from delayedhits import (
     ModelParams,
+    Simulation,
     brute_force_opt,
     build_adversarial_sequence,
     bursty_segment,
@@ -132,3 +133,46 @@ def test_witness_item_is_never_bursted():
     report = build_adversarial_sequence(lru_policy(), ModelParams(5, 4, 2))
     bursted = {seg.item for seg in report.segments if seg.kind == "bursty"}
     assert report.opt_witness_item not in bursted
+
+
+def test_construction_steps_one_run_forward(monkeypatch):
+    """The trace is built from one run stepped a segment at a time, not by
+    re-simulating every prefix. Counted in request phases: 3516 with a
+    re-run per segment at k=10, Z=16; now 1491, the build's run up to the
+    last segment plus the policy's and the witness's full runs."""
+    calls = 0
+    request_phase = Simulation.request_phase
+
+    def counting(self, item):
+        nonlocal calls
+        calls += 1
+        return request_phase(self, item)
+
+    monkeypatch.setattr(Simulation, "request_phase", counting)
+    report = build_adversarial_sequence(lru_policy(), ModelParams(11, 10, 16))
+    assert len(report.sequence) == 513
+    assert calls <= 2000
+
+
+class CachesFromSecondReset(lru_policy):
+    """Declines every caching chance until its second reset, then is LRU:
+    it does not replay its own run, which the construction must notice."""
+
+    def __init__(self):
+        self.resets = 0
+
+    def reset(self, params):
+        super().reset(params)
+        self.resets += 1
+
+    def choose_eviction(self, t, item, cache):
+        if self.resets == 1:
+            return 0
+        return super().choose_eviction(t, item, cache)
+
+
+def test_a_policy_that_does_not_replay_is_caught():
+    # the build sees a policy that never caches; the independent re-run
+    # from a fresh reset sees LRU, which hits in the built trace
+    with pytest.raises(RuntimeError, match="adversary contract violated"):
+        build_adversarial_sequence(CachesFromSecondReset(), ModelParams(4, 3, 3), cap=4)

@@ -6,6 +6,8 @@ residents in ascending order). The canonical witnesses are therefore the
 first matching schedules in the oracle's list.
 """
 
+import random
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +21,13 @@ from delayedhits import (
     optimal_hit_sequences,
 )
 from delayedhits.latency import normalize_hit_bits
-from delayedhits.policies import RandomEvictionPolicy, _forced_latency
+from delayedhits.policies import (
+    RandomEvictionPolicy,
+    _branches,
+    _forced_latency,
+    _forced_terms,
+)
+from delayedhits.traces import random_sequence
 
 
 def every_schedule(params, sequence):
@@ -137,3 +145,41 @@ def test_forced_latency_bound_is_admissible(instance, seed):
     assert all(bound <= total for bound in bounds)
     # what is forced stays forced, so the bound only tightens along a run
     assert bounds == sorted(bounds)
+
+
+def test_branch_keys_and_bounds_match_a_cloned_eviction():
+    """The search settles every choice's cuts from the paused run, without
+    taking the choice. At each decision of seeded random runs, the key and
+    the bound it derives for each choice must be those of a clone that
+    took it: (t, cache, fetches in flight) and committed + forced."""
+    rng = random.Random(9)
+    decisions = 0
+    for run in range(400):
+        k = rng.randint(1, 3)
+        n = k + rng.randint(1, 7 - k)
+        params = ModelParams(n, k, rng.randint(1, 6), (STANDARD, ANTIMONOTONE)[run % 2])
+        sequence = random_sequence(rng, n, rng.randint(1, 30))
+        terms = _forced_terms(params, sequence)
+        forced = _forced_latency(params, sequence)
+        policy = RandomEvictionPolicy(rng.randrange(2**30))
+        policy.reset(params)
+        sim = Simulation(params)
+        for item in sequence:
+            hit = sim.request_phase(item)
+            policy.observe(sim.t, item, hit)
+            returned = sim.retrieval_serve()
+            if not sim.needs_decision(returned):
+                continue
+            decisions += 1
+            branches = list(_branches(sim, returned, terms))
+            assert [choice for choice, _, _ in branches] == [0, *sorted(sim.cache)]
+            for choice, key, bound in branches:
+                taken = sim.clone()
+                taken.apply_eviction(returned, choice)
+                assert key == (
+                    taken.t, frozenset(taken.cache), frozenset(taken.fetches.items())
+                )
+                assert bound == taken.committed + forced(taken)
+            victim = policy.choose_eviction(sim.t, returned, sim.cache.keys())
+            sim.apply_eviction(returned, victim)
+    assert decisions > 1000
