@@ -38,9 +38,9 @@ from .model import (
 from .policies import (
     DEFAULT_SEARCH_BUDGET,
     POLICY_NAMES,
-    RandomEvictionPolicy,
     SearchBudgetExceeded,
     brute_force_opt,
+    draw_policy,
     make_policy,
 )
 from .reduction import verify_domination
@@ -222,22 +222,9 @@ def cmd_reduce(args):
     return report_params, results, EXIT_OK
 
 
-def _draw_policy(rng, sequence, k, n, case_seed):
-    name = rng.choice(["lru", "fifo", "never", "belady", "static", "random"])
-    if name == "belady":
-        return make_policy("belady", sequence=sequence)
-    if name == "static":
-        # draw_instance keeps k < n, so any size up to k can be sampled
-        items = rng.sample(range(1, n + 1), rng.randint(1, k))
-        return make_policy("static", static_items=items)
-    if name == "random":
-        return RandomEvictionPolicy(case_seed)
-    return make_policy(name)
-
-
 def _latency_case(rng, idle_prob):
     k, delay, n, sequence = draw_instance(rng, idle_prob=idle_prob)
-    policy = _draw_policy(rng, sequence, k, n, case_seed=rng.randrange(2**30))
+    policy = draw_policy(rng, sequence, k, n)
     for mode, closed_form in (
         (STANDARD, delayed_hits_latency),
         (ANTIMONOTONE, antimonotone_latency),

@@ -108,6 +108,23 @@ class SimulationResult:
         return self.hit_sequence.count(0)
 
 
+def _hits(latencies) -> list[int]:
+    """The hit bits of a run: a request is a hit exactly when it costs 0."""
+    return [0 if latency else 1 for latency in latencies]
+
+
+def _unchain(chain, steps) -> tuple[list[int], list[int]]:
+    """(evictions of ``steps`` timesteps, items cached in order) of a chain."""
+    evictions = [0] * steps
+    insertions = []
+    while chain is not None:
+        t, victim, item, chain = chain
+        evictions[t - 1] = victim
+        insertions.append(item)
+    insertions.reverse()
+    return evictions, insertions
+
+
 def validate_sequence(params: ModelParams, sequence) -> None:
     if not sequence or 0 <= min(sequence) and max(sequence) <= params.num_items:
         return
@@ -130,7 +147,8 @@ class Simulation:
 
     Every structure is keyed by item or by time and holds only what is in
     flight, so one request costs O(1) amortised work and a run holds O(T)
-    memory whatever the item ids are.
+    memory whatever the item ids are: one latency per step, which gives
+    its hit bit, and one link per eviction.
     """
 
     def __init__(self, params: ModelParams):
@@ -142,12 +160,11 @@ class Simulation:
         # clone can share them
         self.fetches = {}      # return time -> item; one dispatch per timestep
         self.fetch_times = {}  # item -> return times of its fetches in flight
-        self.hit_bits = []
-        self.per_request_latency = []
-        self.eviction_sequence = []
-        self.insertions = None  # (item cached, earlier insertions) chain, shared by clones
-        self.committed = 0     # latency of every request so far, fixed when it misses
-        self.served_at = None  # time of the last retrieval that brought an item back
+        self.per_request_latency = []  # a hit costs 0, a miss at least 1
+        self.evictions = None  # (t, victim, item cached, earlier) chain, shared by clones
+        # latency of every request so far, exact, not a bound: a miss's serving
+        # fetch (the earliest same-item one then in flight) is fixed when it misses
+        self.committed = 0
 
     # -- request phase -------------------------------------------------
 
@@ -161,15 +178,12 @@ class Simulation:
         if not 0 <= item <= params.num_items:
             raise ValueError(f"item {item} outside 0..{params.num_items}")
         self.t = t = self.t + 1
-        self.eviction_sequence.append(0)
         if item == 0:
-            # idle slots are recorded as hits and never cost anything
-            self.hit_bits.append(1)
+            # idle slots never cost anything, so they read as hits
             self.per_request_latency.append(0)
             return None
         hit = item in self.cache
         if hit:
-            self.hit_bits.append(1)
             self.per_request_latency.append(0)
             if params.mode != ANTIMONOTONE:
                 return True
@@ -181,7 +195,6 @@ class Simulation:
         if hit:
             return True
         latency = times[0] - t + 1
-        self.hit_bits.append(0)
         self.per_request_latency.append(latency)
         self.committed += latency
         return False
@@ -191,31 +204,22 @@ class Simulation:
     def retrieval_serve(self) -> int | None:
         """Return the fetch due now (if any), which serves the requests
         waiting for it; their latencies were fixed when they missed."""
-        t = self.t
-        returned = self.fetches.pop(t, None)
-        if returned is None:
-            self.served_at = None
-            return None
-        times = self.fetch_times[returned]
-        if len(times) == 1:
-            del self.fetch_times[returned]
-        else:
-            self.fetch_times[returned] = times[1:]
-        self.served_at = t
+        returned = self.fetches.pop(self.t, None)
+        if returned is not None:
+            times = self.fetch_times.pop(returned)
+            if len(times) > 1:
+                self.fetch_times[returned] = times[1:]
         return returned
 
     @property
     def last_served(self) -> tuple[tuple[int, int], ...]:
-        """(request time, latency) of each request the last retrieval served.
-
-        Derived on demand: a miss at t0 with latency L is served at
-        t0 + L - 1, and one fetch at most returns per timestep, so the
-        requests served at t are the misses among the last ``delay``
-        requests whose latency ends at t.
+        """(request time, latency) of each request served at ``t``, read
+        after the retrieval phase: a miss at t0 with latency L is served at
+        t0 + L - 1, and one fetch at most returns per timestep, so these are
+        the misses among the last ``delay`` requests whose latency ends at
+        t. None ends at t if nothing returned then.
         """
-        t = self.served_at
-        if t is None:
-            return ()
+        t = self.t
         latency = self.per_request_latency
         return tuple(
             (t0, t - t0 + 1)
@@ -242,8 +246,7 @@ class Simulation:
             raise InfeasibleEvictionError(self.t, eviction)
         del self.cache[eviction]
         self.cache[returned] = None
-        self.eviction_sequence[self.t - 1] = eviction
-        self.insertions = (returned, self.insertions)
+        self.evictions = (self.t, eviction, returned, self.evictions)
         assert len(self.cache) == self.params.cache_size
 
     # -- drivers ---------------------------------------------------------
@@ -270,53 +273,46 @@ class Simulation:
 
     # -- search support --------------------------------------------------
 
-    def committed_latency(self) -> int:
-        """Latency of every request so far, served or still waiting.
+    @property
+    def hit_bits(self) -> list[int]:
+        """The hit bit of every request so far, derived from its latency."""
+        return _hits(self.per_request_latency)
 
-        A miss's serving fetch is fixed the moment it misses (the earliest
-        same-item fetch then in flight), so this is exact, not a bound, and
-        makes a sharp branch-and-bound prune. It is kept as a running
-        total, so reading it is O(1).
-        """
-        return self.committed
+    @property
+    def eviction_sequence(self) -> list[int]:
+        """The eviction of every timestep so far (0 where none was made)."""
+        return _unchain(self.evictions, len(self.per_request_latency))[0]
 
     def clone(self) -> "Simulation":
         """An independent copy: the cache, the fetches in flight and the
-        three per-step lists are copied; the insertion chain is shared."""
+        latency list are copied; the eviction chain is shared."""
         twin = object.__new__(Simulation)
         twin.params = self.params
         twin.t = self.t
         twin.cache = self.cache.copy()
         twin.fetches = self.fetches.copy()
         twin.fetch_times = self.fetch_times.copy()
-        twin.hit_bits = self.hit_bits[:]
         twin.per_request_latency = self.per_request_latency[:]
-        twin.eviction_sequence = self.eviction_sequence[:]
-        twin.insertions = self.insertions
+        twin.evictions = self.evictions
         twin.committed = self.committed
-        twin.served_at = self.served_at
         return twin
 
     def result(self) -> SimulationResult:
         """Package the drained run as a :class:`SimulationResult`.
 
-        This ends the run: the result takes over the hit, latency and
-        eviction lists instead of copying them, so the simulation must not
-        be stepped afterwards.
+        This ends the run: the result takes over the latency list instead
+        of copying it, so the simulation must not be stepped afterwards;
+        the hit bits and the eviction lists are derived.
         """
         assert not self.fetches, "run not drained"
-        insertions = []
-        chain = self.insertions
-        while chain is not None:
-            item, chain = chain
-            insertions.append(item)
-        insertions.reverse()
-        total = sum(self.per_request_latency)
+        latency = self.per_request_latency
+        total = sum(latency)
         assert total == self.committed
+        evictions, insertions = _unchain(self.evictions, len(latency))
         return SimulationResult(
-            hit_sequence=self.hit_bits,
-            per_request_latency=self.per_request_latency,
-            eviction_sequence=self.eviction_sequence,
+            hit_sequence=_hits(latency),
+            per_request_latency=latency,
+            eviction_sequence=evictions,
             total_latency=total,
             initial_cache=self.params.initial_cache(),
             insertions=insertions,

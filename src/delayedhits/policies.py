@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import accumulate
 
-from .model import ModelParams, Simulation, validate_sequence
+from .model import ModelParams, Simulation, _hits, _unchain, validate_sequence
 from .latency import normalize_hit_bits
 from .traces import request_times
 
@@ -238,6 +238,18 @@ def make_policy(name, sequence=None, static_items=None) -> Policy:
     return cls()
 
 
+def draw_policy(rng, sequence, k, n) -> Policy:
+    """Draw one policy from the full pool, decliners included; a random
+    policy's seed is drawn first whatever is drawn, as ``check`` always has."""
+    case_seed = rng.randrange(2**30)
+    name = rng.choice(["lru", "fifo", "never", "belady", "static", "random"])
+    if name == "static":
+        return StaticPolicy(rng.sample(range(1, n + 1), rng.randint(1, min(k, n))))
+    if name == "random":
+        return RandomEvictionPolicy(case_seed)
+    return make_policy(name, sequence)
+
+
 # -- exhaustive offline search ------------------------------------------
 
 
@@ -341,7 +353,7 @@ def _search(params, sequence, node_budget, cut, target=None):
         while sim.t < len(sequence):
             pos = sim.t
             sim.request_phase(sequence[pos])
-            if target is not None and sim.hit_bits[pos] != target[pos]:
+            if target is not None and (sim.per_request_latency[pos] == 0) != target[pos]:
                 return None
             returned = sim.retrieval_serve()
             if cut and cut(sim.committed, best):
@@ -352,7 +364,8 @@ def _search(params, sequence, node_budget, cut, target=None):
         if sim.committed < best:
             best = sim.committed
             optima.clear()
-        optima.setdefault(tuple(sim.hit_bits), sim.eviction_sequence)
+        # latencies map one to one to hit bits, and are converted only on return
+        optima.setdefault(tuple(sim.per_request_latency), sim.evictions)
         return None
 
     def survivors(sim, returned):
@@ -404,7 +417,8 @@ def _search(params, sequence, node_budget, cut, target=None):
         choices = survivors(sim, returned)
         if choices:
             stack.append((sim, returned, choices))
-    return best, optima, nodes
+    hits = {tuple(_hits(key)): _unchain(chain, len(key))[0] for key, chain in optima.items()}
+    return best, hits, nodes
 
 
 def brute_force_opt(params, sequence, node_budget=DEFAULT_SEARCH_BUDGET) -> OptResult:

@@ -52,6 +52,9 @@ class PhaseMachine(RuleBasedStateMachine):
         t = len(self.sequence)
 
         hit = self.sim.request_phase(item)
+        # latencies fix the hit bits: a hit or idle slot costs 0, a miss at least 1
+        latency = self.sim.per_request_latency[-1]
+        assert (latency == 0) if hit in (None, True) else (latency >= 1)
         if item == 0:
             assert hit is None
         else:
@@ -99,7 +102,7 @@ class PhaseMachine(RuleBasedStateMachine):
             min(rt for rt, it in self.fetches.items() if it == item) - t0 + 1
             for item, t0 in self.queued
         )
-        assert self.sim.committed_latency() == committed
+        assert self.sim.committed == committed
 
         # drain a clone: the original run continues unaffected
         twin = self.sim.clone()
@@ -112,7 +115,7 @@ class PhaseMachine(RuleBasedStateMachine):
         )
         total, per = closed_form(self.sequence, self.params.delay, result.hit_sequence)
         assert (total, per) == (result.total_latency, result.per_request_latency)
-        assert twin.committed_latency() == total
+        assert twin.committed == total
 
 
 PhaseMachine.TestCase.settings = settings(
