@@ -54,7 +54,6 @@ class AdversaryReport:
 
     sequence: list[int]
     segments: list[Segment]
-    policy_name: str
     policy_latency: int
     opt_latency: int
     opt_witness_item: int
@@ -121,7 +120,6 @@ def build_adversarial_sequence(policy, params: ModelParams, cap=None) -> Adversa
     return AdversaryReport(
         sequence=trace,
         segments=segments,
-        policy_name=getattr(policy, "name", policy.__class__.__name__),
         policy_latency=outcome.total_latency,
         opt_latency=opt_latency,
         opt_witness_item=witness_item,

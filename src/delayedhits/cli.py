@@ -20,15 +20,11 @@ from fractions import Fraction
 
 from . import __version__
 from .adversary import build_adversarial_sequence
-from .counterexample import (
-    counterexample_sequence,
-    verify_closed_forms,
-    verify_feasibility,
-    verify_unique_optimum,
-)
+from .counterexample import counterexample_sequence, verify_nonantimonotonicity
 from .latency import antimonotone_latency, delayed_hits_latency
 from .model import (
     ANTIMONOTONE,
+    MODES,
     STANDARD,
     InfeasibleEvictionError,
     ModelParams,
@@ -163,21 +159,10 @@ def cmd_counterexample(args):
     if args.trace_out:
         write_trace(args.trace_out, cspec.sequence)
     code, error = EXIT_OK, None
-    report = verify_closed_forms(cspec)
     try:
-        verify_feasibility(report, args.search_budget)
-        if args.oracle_check:
-            verify_unique_optimum(report, args.search_budget)
+        report = verify_nonantimonotonicity(cspec, args.oracle_check, args.search_budget)
     except SearchBudgetExceeded as exc:
-        # each search fills in its evidence as it finishes, so the first
-        # gap in the report names the one that overran
-        step = (
-            "baseline feasibility" if report.baseline_witness is None
-            else "extra-hit feasibility" if report.extra_hit_witness is None
-            else "optimum" if report.opt_latency is None
-            else "unique-optimum"
-        )
-        code, error = EXIT_BUDGET, f"{step} search: {exc}"
+        code, error, report = EXIT_BUDGET, str(exc), exc.report
     results = {
         "sequence": list(cspec.sequence),
         "baseline_bits": list(cspec.baseline_bits),
@@ -345,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a trace under a policy")
     common(p_sim, trace=True)
-    p_sim.add_argument("--model", default=STANDARD, choices=(STANDARD, ANTIMONOTONE))
+    p_sim.add_argument("--model", default=STANDARD, choices=MODES)
 
     p_adv = sub.add_parser("adversary", help="build the adaptive lower-bound trace")
     common(p_adv)
@@ -428,11 +413,15 @@ def _json_chunks(value, newline="\n"):
 
 def _emit(envelope, out_path):
     chunks = itertools.chain(_json_chunks(envelope), ["\n"])
-    if out_path:
+    if not out_path:
+        sys.stdout.writelines(chunks)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+    except OSError as exc:
+        # an unwritable --out is an input error, like an unreadable trace
+        raise ValueError(f"cannot write report {out_path}: {exc}") from None
 
 
 _parser = None
@@ -448,16 +437,16 @@ def main(argv=None) -> int:
     handler = globals()[f"cmd_{args.command}"]
     try:
         params, results, code = handler(args)
+        envelope = {
+            "command": args.command,
+            "version": __version__,
+            "params": params,
+            "results": results,
+        }
+        _emit(envelope, args.out)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
-    envelope = {
-        "command": args.command,
-        "version": __version__,
-        "params": params,
-        "results": results,
-    }
-    _emit(envelope, args.out)
     return code
 
 

@@ -19,6 +19,7 @@ from .model import ModelParams, STANDARD, VerificationError
 from .latency import delayed_hits_latency, antimonotone_latency, dominates
 from .policies import (
     DEFAULT_SEARCH_BUDGET,
+    SearchBudgetExceeded,
     brute_force_opt,
     is_hit_sequence_feasible,
     optimal_hit_sequences,
@@ -74,9 +75,10 @@ class CounterexampleSpec:
 def counterexample_sequence(delay: int, cache_size: int = 1) -> CounterexampleSpec:
     """Build the forced trace for any cache size.
 
-    The k=1 core: hot = k+1 at t=1, decoy = k+2 at t=2, hot again at
-    t=delay+1, a z-burst of hot ending at 2*delay, and a delay-long block
-    of the decoy at the tail. The tail forces the optimum to cache the
+    The k=1 core: hot = k+1 at t=1, decoy = k+2 at t=2, the gadget
+    (:func:`building_block` of hot) on t=delay+1..2*delay, so hot again
+    at t=delay+1 and a z-burst of hot ending at 2*delay, and a delay-long
+    block of the decoy at the tail. The tail forces the optimum to cache the
     decoy when it returns (retrieval of t=delay+1), which evicts whatever
     the single useful slot held, so the only live choice is whether the
     hot request at t=delay+1 hits. For larger caches, a delay-long block
@@ -98,9 +100,7 @@ def counterexample_sequence(delay: int, cache_size: int = 1) -> CounterexampleSp
 
     put(1, hot)
     put(2, decoy)
-    put(delay + 1, hot)
-    for t in range(2 * delay - z + 1, 2 * delay + 1):
-        put(t, hot)
+    seq[delay:2 * delay] = building_block(delay, k).sequence
     for j in range(k - 1):
         pinned = j + 2
         start = (3 + 2 * j) * delay + 1
@@ -127,17 +127,20 @@ def counterexample_sequence(delay: int, cache_size: int = 1) -> CounterexampleSp
 
 @dataclass
 class NonAntimonotonicityReport:
-    """Verified evidence that the extra hit strictly increases latency."""
+    """Verified evidence that the extra hit strictly increases latency.
 
-    spec: CounterexampleSpec
+    Each search's evidence stays None until that search passes, so the
+    partial report that an overrun carries keeps what was verified.
+    """
+
     baseline_latency: int
     extra_hit_latency: int
     gap: int
     fetch_on_hit_baseline: int
     fetch_on_hit_extra: int
-    baseline_witness: list[int] | None = None   # set by verify_feasibility
+    baseline_witness: list[int] | None = None
     extra_hit_witness: list[int] | None = None
-    opt_latency: int | None = None     # set by verify_unique_optimum
+    opt_latency: int | None = None
     opt_unique: bool | None = None
 
 
@@ -148,18 +151,14 @@ def verify_nonantimonotonicity(
 ) -> NonAntimonotonicityReport:
     """Check every claim the construction makes; raise on the first failure.
 
-    Runs :func:`verify_closed_forms`, :func:`verify_feasibility` and, with
-    ``check_optimal``, :func:`verify_unique_optimum`.
+    First the claims that need no search: the one-bit domination
+    structure, the exact latency gap and the immunity of the fetch-on-hit
+    model. Then the searches, in order: the feasibility of each vector
+    and, with ``check_optimal``, the optimum and the set of optima, which
+    must be the baseline alone. A search that overruns ``node_budget``
+    raises :class:`SearchBudgetExceeded` as ``"<step> search: <message>"``,
+    with the partial report as ``exc.report``.
     """
-    report = verify_feasibility(verify_closed_forms(cspec), node_budget)
-    if check_optimal:
-        verify_unique_optimum(report, node_budget)
-    return report
-
-
-def verify_closed_forms(cspec: CounterexampleSpec) -> NonAntimonotonicityReport:
-    """Check the one-bit domination structure, the exact latency gap and the
-    immunity of the fetch-on-hit model; return a report without witnesses."""
     seq, delay = list(cspec.sequence), cspec.delay
     b, b_hi = list(cspec.baseline_bits), list(cspec.extra_hit_bits)
 
@@ -186,57 +185,43 @@ def verify_closed_forms(cspec: CounterexampleSpec) -> NonAntimonotonicityReport:
             "fetch-on-hit latency increased under the extra hit; it must not"
         )
 
-    return NonAntimonotonicityReport(
-        spec=cspec,
+    report = NonAntimonotonicityReport(
         baseline_latency=low,
         extra_hit_latency=high,
         gap=gap,
         fetch_on_hit_baseline=anti_low,
         fetch_on_hit_extra=anti_high,
     )
-
-
-def verify_feasibility(
-    report: NonAntimonotonicityReport, node_budget: int = DEFAULT_SEARCH_BUDGET
-) -> NonAntimonotonicityReport:
-    """Prove both vectors feasible by independent search, filling in each
-    witness as its search finishes, so a caller that catches
-    :class:`SearchBudgetExceeded` keeps the evidence found so far."""
-    cspec = report.spec
-    params, seq = cspec.params(), list(cspec.sequence)
-    b, b_hi = list(cspec.baseline_bits), list(cspec.extra_hit_bits)
-    ok, report.baseline_witness = is_hit_sequence_feasible(params, seq, b, node_budget)
-    if not ok:
-        raise VerificationError("baseline hit sequence is not feasible")
-    ok, report.extra_hit_witness = is_hit_sequence_feasible(params, seq, b_hi, node_budget)
-    if not ok:
-        raise VerificationError("extra-hit hit sequence is not feasible")
-    return report
-
-
-def verify_unique_optimum(
-    report: NonAntimonotonicityReport, node_budget: int = DEFAULT_SEARCH_BUDGET
-) -> NonAntimonotonicityReport:
-    """Check by exhaustive search that the baseline vector is the unique optimum.
-
-    Fills in ``report.opt_latency`` once the optimum search agrees with
-    the baseline, and ``report.opt_unique`` once the set-of-optima search
-    finds it alone, and returns the report. Each stays None until its
-    search passes, so a caller that catches :class:`SearchBudgetExceeded`
-    keeps the evidence found so far and can tell which search overran.
-    """
-    cspec = report.spec
-    params, seq = cspec.params(), list(cspec.sequence)
-    opt_latency = brute_force_opt(params, seq, node_budget).min_latency
-    if opt_latency != report.baseline_latency:
-        raise VerificationError(
-            f"exhaustive optimum {opt_latency} != baseline latency {report.baseline_latency}"
+    params = cspec.params()
+    step = "baseline feasibility"
+    try:
+        ok, report.baseline_witness = is_hit_sequence_feasible(params, seq, b, node_budget)
+        if not ok:
+            raise VerificationError("baseline hit sequence is not feasible")
+        step = "extra-hit feasibility"
+        ok, report.extra_hit_witness = is_hit_sequence_feasible(
+            params, seq, b_hi, node_budget
         )
-    report.opt_latency = opt_latency
-    _, optima = optimal_hit_sequences(params, seq, node_budget)
-    if optima != {tuple(cspec.baseline_bits)}:
-        raise VerificationError(
-            f"baseline is not the unique optimal hit sequence; found {len(optima)}"
-        )
-    report.opt_unique = True
+        if not ok:
+            raise VerificationError("extra-hit hit sequence is not feasible")
+        if not check_optimal:
+            return report
+        step = "optimum"
+        opt_latency = brute_force_opt(params, seq, node_budget).min_latency
+        if opt_latency != low:
+            raise VerificationError(
+                f"exhaustive optimum {opt_latency} != baseline latency {low}"
+            )
+        report.opt_latency = opt_latency
+        step = "unique-optimum"
+        _, optima = optimal_hit_sequences(params, seq, node_budget)
+        if optima != {tuple(b)}:
+            raise VerificationError(
+                f"baseline is not the unique optimal hit sequence; found {len(optima)}"
+            )
+        report.opt_unique = True
+    except SearchBudgetExceeded as exc:
+        overrun = SearchBudgetExceeded(f"{step} search: {exc}")
+        overrun.report = report
+        raise overrun from exc
     return report

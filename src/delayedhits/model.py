@@ -273,16 +273,6 @@ class Simulation:
 
     # -- search support --------------------------------------------------
 
-    @property
-    def hit_bits(self) -> list[int]:
-        """The hit bit of every request so far, derived from its latency."""
-        return _hits(self.per_request_latency)
-
-    @property
-    def eviction_sequence(self) -> list[int]:
-        """The eviction of every timestep so far (0 where none was made)."""
-        return _unchain(self.evictions, len(self.per_request_latency))[0]
-
     def clone(self) -> "Simulation":
         """An independent copy: the cache, the fetches in flight and the
         latency list are copied; the eviction chain is shared."""

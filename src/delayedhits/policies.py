@@ -107,12 +107,12 @@ class LruPolicy(Policy):
 
 
 class FifoPolicy(Policy):
-    """Evict the longest-resident item; the initial cache counts as 1..k."""
+    """Evict the longest-resident item; the initial cache arrived in item order."""
 
     name = "fifo"
 
     def reset(self, params):
-        self.order = list(range(1, params.cache_size + 1))
+        self.order = sorted(params.initial_cache())
 
     def choose_eviction(self, t, item, cache):
         victim = self.order.pop(0)

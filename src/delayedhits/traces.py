@@ -69,9 +69,12 @@ def read_trace(path) -> list[int]:
 
 
 def write_trace(path, sequence) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in sequence:
-            fh.write(f"{item}\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for item in sequence:
+                fh.write(f"{item}\n")
+    except OSError as exc:
+        raise TraceError(f"cannot write trace {path}: {exc}") from None
 
 
 def request_times(sequence) -> dict[int, list[int]]:

@@ -560,8 +560,13 @@ def _wrong_optimum(real):
          _raising(policies.SearchBudgetExceeded("too large")), 4, "too large"),
         (["adversary", "--oracle-check"], "brute_force_opt", _wrong_optimum, 1,
          "exhaustive optimum 5 != witnessed optimum 4"),
+        (["check", "--cases", "1", "--out", "NODIR/x.json"], None, None, 2,
+         "cannot write report"),
+        (["counterexample", "-Z", "6", "--trace-out", "NODIR/t.txt"], None, None, 2,
+         "cannot write trace"),
     ],
-    ids=["trace", "value", "universe", "infeasible", "budget", "verification"],
+    ids=["trace", "value", "universe", "infeasible", "budget", "verification",
+         "out", "trace-out"],
 )
 def test_main_maps_each_error_to_its_exit_code(
     tmp_path, capsys, monkeypatch, argv, target, patch, code, message
@@ -569,7 +574,9 @@ def test_main_maps_each_error_to_its_exit_code(
     trace = write_lines(tmp_path / "t.txt", [1, 49, 2])
     if target is not None:
         monkeypatch.setattr(cli, target, patch(getattr(cli, target)))
-    assert main([trace if arg == "TRACE" else arg for arg in argv]) == code
+    argv = [trace if arg == "TRACE" else arg for arg in argv]
+    nodir = str(tmp_path / "no-such-dir")
+    assert main([arg.replace("NODIR", nodir) for arg in argv]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()

@@ -6,6 +6,7 @@ import pytest
 
 from delayedhits import (
     ModelParams,
+    SearchBudgetExceeded,
     antimonotone_latency,
     brute_force_opt,
     building_block,
@@ -203,3 +204,23 @@ def test_tampered_spec_is_caught():
     )
     with pytest.raises(VerificationError):
         verify_nonantimonotonicity(broken, check_optimal=False)
+
+
+def test_overrun_names_its_search_and_keeps_the_partial_report():
+    cspec = counterexample_sequence(26, 7)
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        verify_nonantimonotonicity(cspec, node_budget=5)
+    assert str(exc.value) == (
+        "baseline feasibility search: instance too large: more than 5 decision nodes"
+    )
+    report = exc.value.report
+    assert report.gap == 143
+    assert report.baseline_witness is None and report.extra_hit_witness is None
+    # 40 nodes fit both feasibility searches and the optimum search
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        verify_nonantimonotonicity(cspec, node_budget=40)
+    assert str(exc.value).startswith("unique-optimum search: ")
+    report = exc.value.report
+    assert report.baseline_witness and report.extra_hit_witness
+    assert report.opt_latency == 169
+    assert report.opt_unique is None

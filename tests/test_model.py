@@ -245,7 +245,7 @@ def test_last_served_matches_request_times_past_the_end(mode):
         closed_form = (
             antimonotone_latency if mode == ANTIMONOTONE else delayed_hits_latency
         )
-        _, per = closed_form(seq, delay, sim.hit_bits)
+        _, per = closed_form(seq, delay, sim.result().hit_sequence)
         assert sorted(served) == [(t0, lat) for t0, lat in enumerate(per, 1) if lat]
     assert past_end > 0
 

@@ -49,7 +49,8 @@ def every_schedule(params, sequence):
                     run_on(branch)
                 return
         sim.drain()
-        runs.append((sim.committed, list(sim.eviction_sequence), list(sim.hit_bits)))
+        result = sim.result()
+        runs.append((sim.committed, result.eviction_sequence, result.hit_sequence))
 
     run_on(Simulation(params))
     return runs, decisions
