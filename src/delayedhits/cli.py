@@ -80,12 +80,16 @@ def _parse_items(text) -> list[int]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _policy_for(args, sequence=None):
+def _policy_for(args, n, sequence=None):
     static_items = None
     if args.policy == "static":
         static_items = range(1, args.k + 1)
-        if args.static_items:
+        if args.static_items is not None:
             static_items = _parse_items(args.static_items)
+            if not static_items or max(static_items) > n:
+                raise ValueError(
+                    f"--static-items must name items in 1..{n}, got {args.static_items!r}"
+                )
     return make_policy(args.policy, sequence=sequence, static_items=static_items)
 
 
@@ -93,7 +97,7 @@ def cmd_simulate(args):
     sequence = read_trace(args.trace)
     n = args.n if args.n is not None else infer_num_items(sequence)
     params = ModelParams(n, args.k, args.Z, args.model)
-    result = simulate(params, sequence, _policy_for(args, sequence=sequence))
+    result = simulate(params, sequence, _policy_for(args, n, sequence=sequence))
     results = {
         "trace_length": len(sequence),
         "total_latency": result.total_latency,
@@ -117,7 +121,7 @@ def cmd_adversary(args):
     if args.policy == "belady":
         raise ValueError("the adversary targets online policies; belady is offline")
     _check_search_budget(args)
-    report = build_adversarial_sequence(_policy_for(args), params, cap=args.cap)
+    report = build_adversarial_sequence(_policy_for(args, n), params, cap=args.cap)
     if args.trace_out:
         write_trace(args.trace_out, report.sequence)
     results = {
@@ -190,7 +194,7 @@ def cmd_reduce(args):
     n = args.n if args.n is not None else infer_num_items(sequence)
     inner_params = ModelParams(n, args.k, args.Z, ANTIMONOTONE)
     report_params = _params_dict(n, args.k, args.Z, ANTIMONOTONE, args.policy)
-    policy = _policy_for(args, sequence=sequence)
+    policy = _policy_for(args, n, sequence=sequence)
     try:
         report = verify_domination(sequence, policy, inner_params)
     except VerificationError as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import ModelParams, STANDARD, VerificationError
+from .model import ModelParams, VerificationError
 from .latency import delayed_hits_latency, antimonotone_latency, dominates
 from .policies import (
     DEFAULT_SEARCH_BUDGET,
@@ -68,8 +68,8 @@ class CounterexampleSpec:
     extra_hit_bits: tuple[int, ...]  # same but with the one extra hit
     predicted_gap: int               # z*(delay - z) - delay, positive for delay >= 5
 
-    def params(self, mode: str = STANDARD) -> ModelParams:
-        return ModelParams(self.cache_size + 2, self.cache_size, self.delay, mode)
+    def params(self) -> ModelParams:
+        return ModelParams(self.cache_size + 2, self.cache_size, self.delay)
 
 
 def counterexample_sequence(delay: int, cache_size: int = 1) -> CounterexampleSpec:

@@ -69,11 +69,11 @@ class ModelParams:
 
 @dataclass
 class SimulationResult:
-    """Everything observable from one complete run.
+    """Everything observable from one run, final at its last request.
 
-    The cache contents are not stored per step: ``cache_history`` and
-    ``final_cache`` are rebuilt on access from the initial cache, the
-    eviction sequence and the item cached at each eviction.
+    The cache contents are not stored per step: ``cache_history`` is
+    rebuilt on access from the initial cache, the eviction sequence and
+    the item cached at each eviction.
     """
 
     hit_sequence: list[int]
@@ -83,26 +83,18 @@ class SimulationResult:
     initial_cache: frozenset[int]
     insertions: list[int]      # item cached at each nonzero eviction, in order
 
-    def _cache_states(self):
-        """The live cache set before the first step and after each step."""
+    @property
+    def cache_history(self) -> list[frozenset[int]]:
+        """The cache before the first step and after each step: O(T·k) to build."""
         cache = set(self.initial_cache)
-        yield cache
+        history = [frozenset(cache)]
         inserted = iter(self.insertions)
         for evicted in self.eviction_sequence:
             if evicted:
                 cache.remove(evicted)
                 cache.add(next(inserted))
-            yield cache
-
-    @property
-    def cache_history(self) -> list[frozenset[int]]:
-        """The cache before the first step and after each step: O(T·k) to build."""
-        return [frozenset(cache) for cache in self._cache_states()]
-
-    def final_cache(self) -> frozenset[int]:
-        for cache in self._cache_states():
-            pass
-        return frozenset(cache)
+            history.append(frozenset(cache))
+        return history
 
     def miss_count(self) -> int:
         return self.hit_sequence.count(0)
@@ -265,12 +257,6 @@ class Simulation:
             self.apply_eviction(returned, evicted)
         return returned
 
-    def drain(self) -> None:
-        """Retrieval-only timesteps past the end of the trace; no decisions."""
-        while self.fetches:
-            self.t += 1
-            self.retrieval_serve()
-
     # -- search support --------------------------------------------------
 
     def clone(self) -> "Simulation":
@@ -288,13 +274,13 @@ class Simulation:
         return twin
 
     def result(self) -> SimulationResult:
-        """Package the drained run as a :class:`SimulationResult`.
+        """Package the run as a :class:`SimulationResult`, final whatever
+        is still in flight: each latency was fixed when its request missed.
 
         This ends the run: the result takes over the latency list instead
         of copying it, so the simulation must not be stepped afterwards;
         the hit bits and the eviction lists are derived.
         """
-        assert not self.fetches, "run not drained"
         latency = self.per_request_latency
         total = sum(latency)
         assert total == self.committed
@@ -310,21 +296,20 @@ class Simulation:
 
 
 def simulate(params: ModelParams, sequence, policy) -> SimulationResult:
-    """Run ``policy`` over the whole trace and drain trailing fetches.
+    """Run ``policy`` over the whole trace.
 
     The policy is reset first, observes every request phase (idle slots
     included), and is consulted whenever a fetch returns an item that is
-    not resident. Retrieval phases after the end of the trace still serve
-    waiting requests, so every incurred latency is charged, but they offer
-    no caching decision: the eviction sequence has exactly one entry per
-    trace position.
+    not resident. The run ends at the last request: each latency is fixed
+    when its request misses, so fetches still in flight then change no
+    result, and the eviction sequence has exactly one entry per trace
+    position.
     """
     validate_sequence(params, sequence)
     policy.reset(params)
     sim = Simulation(params)
     for item in sequence:
         sim.step(item, policy)
-    sim.drain()
     return sim.result()
 
 
@@ -335,6 +320,7 @@ def replay(params: ModelParams, sequence, evictions) -> SimulationResult:
     :class:`InfeasibleEvictionError` names the earliest infeasible one:
     an item that is not resident then, or a timestep with no insertion
     opportunity (nothing returned, or the returned item already resident).
+    As in :func:`simulate`, the run ends at its last request.
     """
     if len(evictions) != len(sequence):
         raise ValueError(
@@ -344,5 +330,4 @@ def replay(params: ModelParams, sequence, evictions) -> SimulationResult:
     sim = Simulation(params)
     for item, eviction in zip(sequence, evictions):
         sim.apply_eviction(sim.step(item), eviction)
-    sim.drain()
     return sim.result()

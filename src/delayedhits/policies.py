@@ -295,17 +295,6 @@ def _forced_terms(params, sequence):
     return terms
 
 
-def _forced_latency(params, sequence):
-    """f(sim): the latency of the future requests no schedule can avoid, the
-    sum of the terms of the items not resident."""
-    terms = _forced_terms(params, sequence)
-
-    def forced(sim):
-        return sum(term for item, term in terms(sim).items() if item not in sim.cache)
-
-    return forced
-
-
 def _branches(sim, returned, terms):
     """(choice, key, bound) for each choice at the decision ``sim`` is paused
     at, decline first and then each resident in ascending order: the

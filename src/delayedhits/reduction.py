@@ -8,12 +8,13 @@ and every item requested during the last ``delay`` timesteps (hits
 included). The second group is what replaces the fetches A dispatches on
 hits: anything A could serve early thanks to such a fetch is, in B's run,
 simply still resident. Both groups together never exceed k + delay items
-and the item being cached is always in the window, so a disposable victim
-always exists.
+and the item being cached is always among the recent requests, so a
+disposable victim always exists.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 
 from .model import (
@@ -27,10 +28,10 @@ from .model import (
 from .policies import Policy
 
 
-def reduction_outer_params(inner_params: ModelParams, window=None) -> ModelParams:
-    """Standard-model parameters for the wrapped policy (capacity k + window)."""
-    w = inner_params.delay if window is None else window
-    return replace(inner_params, cache_size=inner_params.cache_size + w, mode=STANDARD)
+def reduction_outer_params(inner_params: ModelParams) -> ModelParams:
+    """Standard-model parameters for the wrapped policy (capacity k + delay)."""
+    k, delay = inner_params.cache_size, inner_params.delay
+    return replace(inner_params, cache_size=k + delay, mode=STANDARD)
 
 
 class ReductionPolicy(Policy):
@@ -42,47 +43,38 @@ class ReductionPolicy(Policy):
     after its request phase, so the protected set then reflects the inner
     cache at the end of the same timestep.
 
-    Evictions pick the smallest-id cached item outside the protected set
-    (inner cache plus the recent-request window). With the default window
-    of ``delay`` an unprotected victim provably always exists; with
-    window=0 the wrapper degenerates to mirroring the inner cache and
-    declines whenever the mirror is already exact. This is the policy B
-    built from A; run it under :func:`reduction_outer_params`.
+    Evictions pick the smallest-id cached item outside the protected set:
+    the inner cache and the last ``delay`` requests, idle slots included,
+    so timesteps t - delay + 1..t; one provably always exists. This is the
+    policy B built from A; run it under :func:`reduction_outer_params`.
     """
 
     name = "reduction"
 
-    def __init__(self, inner_policy: Policy, inner_params: ModelParams, window=None):
+    def __init__(self, inner_policy: Policy, inner_params: ModelParams):
         self.inner_policy = inner_policy
         self.inner_params = replace(inner_params, mode=ANTIMONOTONE)
-        self.window = inner_params.delay if window is None else window
-        if self.window < 0:
-            raise ValueError("window must be >= 0")
 
     def reset(self, params):
-        expected = self.inner_params.cache_size + self.window
-        if params.cache_size != expected:
+        inner = self.inner_params
+        if params.cache_size != inner.cache_size + inner.delay:
             raise ValueError(
-                f"outer cache size {params.cache_size} != inner {self.inner_params.cache_size} "
-                f"+ window {self.window}"
+                f"outer cache size {params.cache_size} != inner {inner.cache_size} "
+                f"+ delay {inner.delay}"
             )
-        if params.delay != self.inner_params.delay:
+        if params.delay != inner.delay:
             raise ValueError("outer and inner delay must match")
-        self.inner_policy.reset(self.inner_params)
-        self.inner = Simulation(self.inner_params)
-        self.last_request = {}
+        self.inner_policy.reset(inner)
+        self.inner = Simulation(inner)
+        self.recent = deque(maxlen=inner.delay)
 
     def observe(self, t, item, hit):
         self.inner.step(item, self.inner_policy)
         assert self.inner.t == t, "inner simulation fell out of lockstep"
-        if item != 0:
-            self.last_request[item] = t
+        self.recent.append(item)
 
     def choose_eviction(self, t, item, cache):
-        protected = set(self.inner.cache)
-        horizon = t - self.window + 1
-        protected.update(y for y, s in self.last_request.items() if s >= horizon)
-        return min(cache - protected, default=0)
+        return min(cache - self.inner.cache.keys() - set(self.recent), default=0)
 
 
 # the factory name the package has always exported

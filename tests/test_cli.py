@@ -436,8 +436,15 @@ def _seeded_trace(path, seed, num_items, length):
          "27ebfb819c3e93cf48ca3f3f68aea7c429821642fdbbb753ff929bef46dd97af"),
         (["check", "--suite", "antimono", "--cases", "50"],
          "5c7372bbd3863f852089df9330dee967fad6cb99079552c69d9fc1ce90f3347e"),
+        (["reduce", "TRACE", "-n", "40", "-k", "6", "-Z", "9", "--policy", "lru"],
+         "dc5f41231ec341c29c98e5a6cd1bcc064dfc3152bb907d700c0da812ba38382f"),
+        (["reduce", "TRACE", "-n", "40", "-k", "6", "-Z", "9", "--policy", "fifo"],
+         "9f06bb59cdefddc4dd761dff1f09aabbd7fb2ba214d5f68b9d730400710dfcb0"),
+        (["reduce", "TRACE", "-n", "40", "-k", "6", "-Z", "9", "--policy", "belady"],
+         "d8420102447709a0c8ae574981505414017219f4312c3d85a28480e5d66bbb45"),
     ],
-    ids=["simulate-lru", "simulate-fifo", "counterexample", "adversary", "check"],
+    ids=["simulate-lru", "simulate-fifo", "counterexample", "adversary", "check",
+         "reduce-lru", "reduce-fifo", "reduce-belady"],
 )
 def test_report_bytes_are_pinned(tmp_path, capsys, argv, digest):
     trace = _seeded_trace(tmp_path / "t.txt", 2024, 40, 2000)
@@ -564,9 +571,21 @@ def _wrong_optimum(real):
          "cannot write report"),
         (["counterexample", "-Z", "6", "--trace-out", "NODIR/t.txt"], None, None, 2,
          "cannot write trace"),
+        # a static target that is empty or outside 1..n can never be cached
+        (["simulate", "TRACE", "-n", "60", "--policy", "static", "--static-items", "61"],
+         None, None, 2, "--static-items must name items in 1..60, got '61'"),
+        (["simulate", "TRACE", "--policy", "static", "--static-items", "1,50"],
+         None, None, 2, "--static-items must name items in 1..49, got '1,50'"),
+        (["simulate", "TRACE", "--policy", "static", "--static-items", ","],
+         None, None, 2, "--static-items must name items in 1..49, got ','"),
+        (["reduce", "TRACE", "--policy", "static", "--static-items", ""],
+         None, None, 2, "--static-items must name items in 1..49, got ''"),
+        (["adversary", "--policy", "static", "-k", "2", "-Z", "3", "--static-items", "7"],
+         None, None, 2, "--static-items must name items in 1..3, got '7'"),
     ],
     ids=["trace", "value", "universe", "infeasible", "budget", "verification",
-         "out", "trace-out"],
+         "out", "trace-out", "static-above-n", "static-above-inferred-n", "static-empty",
+         "static-empty-string", "static-adversary"],
 )
 def test_main_maps_each_error_to_its_exit_code(
     tmp_path, capsys, monkeypatch, argv, target, patch, code, message

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from delayedhits import (
-    ANTIMONOTONE,
     ModelParams,
     fifo_policy,
     lru_policy,
@@ -15,6 +14,7 @@ from delayedhits import (
     verify_domination,
     wrap_reduction,
 )
+from delayedhits.policies import RandomEvictionPolicy
 from delayedhits.traces import random_sequence
 
 
@@ -76,29 +76,56 @@ def test_outer_cache_is_exactly_k_plus_delay():
     assert all(len(state) == 6 for state in run.cache_history)
 
 
-def test_window_zero_mirrors_inner_cache_for_never_cache():
-    rng = random.Random(9)
-    inner_params = ModelParams(5, 2, 3)
-    for _ in range(20):
-        seq = random_sequence(rng, 5, rng.randint(1, 40))
-        wrapped = wrap_reduction(never_cache_policy(), inner_params, window=0)
-        outer_run = simulate(reduction_outer_params(inner_params, 0), seq, wrapped)
-        inner_run = simulate(
-            ModelParams(5, 2, 3, ANTIMONOTONE), seq, never_cache_policy()
-        )
-        assert outer_run.cache_history == inner_run.cache_history
+class CheckedReduction:
+    """Runs the wrapper and asserts each victim equals the all-items rule:
+    the smallest cached item outside the inner cache and outside every item
+    whose last request falls in t - delay + 1..t."""
+
+    name = "reduction"
+
+    def __init__(self, inner_policy, inner_params):
+        self.wrapped = wrap_reduction(inner_policy, inner_params)
+        self.delay = inner_params.delay
+        self.decisions = 0
+
+    def reset(self, params):
+        self.wrapped.reset(params)
+        self.last_request = {}
+
+    def observe(self, t, item, hit):
+        self.wrapped.observe(t, item, hit)
+        if item != 0:
+            self.last_request[item] = t
+
+    def choose_eviction(self, t, item, cache):
+        recent = {y for y, s in self.last_request.items() if s >= t - self.delay + 1}
+        expected = min(set(cache) - set(self.wrapped.inner.cache) - recent, default=0)
+        victim = self.wrapped.choose_eviction(t, item, cache)
+        assert victim == expected, f"t={t}: wrapper evicted {victim}, rule {expected}"
+        self.decisions += 1
+        return victim
 
 
-def test_window_zero_mirrors_inner_cache_on_cold_distinct_trace():
-    # all-distinct cold items: every inner cache change has a matching
-    # decision point in the outer run, so the mirror is exact
-    inner_params = ModelParams(9, 2, 3)
-    seq = [3, 0, 4, 5, 0, 6, 7, 0, 8, 9]
-    wrapped = wrap_reduction(lru_policy(), inner_params, window=0)
-    outer_run = simulate(reduction_outer_params(inner_params, 0), seq, wrapped)
-    inner_run = simulate(ModelParams(9, 2, 3, ANTIMONOTONE), seq, lru_policy())
-    assert outer_run.cache_history == inner_run.cache_history
-    assert outer_run.eviction_sequence == inner_run.eviction_sequence
+def test_victim_matches_the_all_items_rule():
+    rng = random.Random(1212)
+    inner_policies = {
+        "lru": lru_policy,
+        "fifo": fifo_policy,
+        "never": never_cache_policy,
+        "random": lambda: RandomEvictionPolicy(rng.randrange(2**30)),
+    }
+    decisions = dict.fromkeys(inner_policies, 0)
+    for _ in range(60):
+        # a universe wider than k + delay, so the outer cache has decisions
+        k, delay = rng.randint(1, 4), rng.randint(1, 6)
+        n = k + delay + rng.randint(1, 6)
+        seq = random_sequence(rng, n, rng.randint(1, 80))
+        inner_params = ModelParams(n, k, delay)
+        for name, make in inner_policies.items():
+            policy = CheckedReduction(make(), inner_params)
+            simulate(reduction_outer_params(inner_params), seq, policy)
+            decisions[name] += policy.decisions
+    assert min(decisions.values()) > 300
 
 
 def test_wrapper_validates_outer_params():
@@ -108,5 +135,3 @@ def test_wrapper_validates_outer_params():
         simulate(ModelParams(5, 2, 3), [1], wrapped)          # wrong capacity
     with pytest.raises(ValueError):
         simulate(ModelParams(5, 5, 4), [1], wrapped)          # wrong delay
-    with pytest.raises(ValueError):
-        wrap_reduction(lru_policy(), inner_params, window=-1)
