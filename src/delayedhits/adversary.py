@@ -11,20 +11,18 @@ opening request. The resulting latency ratio grows like k*delay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .model import ModelParams, Simulation, simulate
 from .policies import static_policy
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One isolated piece of the adversarial trace."""
+class Segment(namedtuple("Segment", "kind item rendered")):
+    """One isolated piece of the adversarial trace: ``kind`` is "pure" or
+    "bursty", ``rendered`` its requests as a tuple."""
 
-    kind: str                 # "pure" or "bursty"
-    item: int
-    rendered: tuple[int, ...]
+    __slots__ = ()
 
     def miss_cost(self, delay: int) -> int:
         if self.kind == "pure":
@@ -48,19 +46,12 @@ def bursty_segment(item: int, delay: int) -> Segment:
     return Segment("bursty", item, body)
 
 
-@dataclass
-class AdversaryReport:
+class AdversaryReport(namedtuple("AdversaryReport", "sequence segments policy_latency "
+                                 "opt_latency opt_witness_item marked bursty_count capped "
+                                 "ratio_lower_bound")):
     """The adversarial trace plus the measured latencies and ratio bound."""
 
-    sequence: list[int]
-    segments: list[Segment]
-    policy_latency: int
-    opt_latency: int
-    opt_witness_item: int
-    marked: frozenset[int]
-    bursty_count: int
-    capped: bool
-    ratio_lower_bound: Fraction
+    __slots__ = ()
 
 
 def build_adversarial_sequence(policy, params: ModelParams, cap=None) -> AdversaryReport:

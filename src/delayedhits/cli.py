@@ -6,7 +6,8 @@ Its bytes are exactly ``json.dumps(envelope, indent=2, sort_keys=True)``
 plus a newline, written in chunks by ``_json_chunks`` so that long result
 vectors skip ``json``'s pure-Python indenting encoder.
 Exit codes: 0 ok, 1 property violation, 2 input error, 3 infeasible
-eviction, 4 search budget exceeded.
+eviction, 4 search budget exceeded; a reader that closes stdout before
+the report ends leaves the code as it was.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -418,7 +420,17 @@ def _json_chunks(value, newline="\n"):
 def _emit(envelope, out_path):
     chunks = itertools.chain(_json_chunks(envelope), ["\n"])
     if not out_path:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader took what it wanted and closed the pipe: not an
+            # error; send the exit-time flush of the rest to devnull
+            try:
+                fd = sys.stdout.fileno()
+            except (AttributeError, ValueError):  # a stream with no descriptor
+                return
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         return
     try:
         with open(out_path, "w", encoding="utf-8") as fh:

@@ -13,7 +13,7 @@ is immune: there the extra hit never increases latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .model import ModelParams, VerificationError
 from .latency import delayed_hits_latency, antimonotone_latency, dominates
@@ -26,13 +26,10 @@ from .policies import (
 )
 
 
-@dataclass(frozen=True)
-class BuildingBlock:
+class BuildingBlock(namedtuple("BuildingBlock", "sequence all_miss_latency first_hit_latency")):
     """Lone request plus trailing burst of one cold item, with closed forms."""
 
-    sequence: tuple[int, ...]
-    all_miss_latency: int
-    first_hit_latency: int
+    __slots__ = ()
 
 
 def building_block(delay: int, cache_size: int = 1) -> BuildingBlock:
@@ -56,17 +53,17 @@ def building_block(delay: int, cache_size: int = 1) -> BuildingBlock:
     return BuildingBlock(tuple(seq), all_miss, first_hit)
 
 
-@dataclass(frozen=True)
-class CounterexampleSpec:
-    """The full forced trace plus its two distinguished hit-bit vectors."""
+class CounterexampleSpec(namedtuple("CounterexampleSpec", "delay cache_size burst_len "
+                                    "sequence baseline_bits extra_hit_bits predicted_gap")):
+    """The full forced trace plus its two distinguished hit-bit vectors.
 
-    delay: int
-    cache_size: int
-    burst_len: int                # z = delay // 2
-    sequence: tuple[int, ...]
-    baseline_bits: tuple[int, ...]   # the optimal vector (misses the gadget)
-    extra_hit_bits: tuple[int, ...]  # same but with the one extra hit
-    predicted_gap: int               # z*(delay - z) - delay, positive for delay >= 5
+    ``burst_len`` is z = delay // 2; ``baseline_bits`` is the optimal
+    vector, which misses the gadget, and ``extra_hit_bits`` the same with
+    the one extra hit; ``predicted_gap`` is z*(delay - z) - delay, positive
+    for delay >= 5.
+    """
+
+    __slots__ = ()
 
     def params(self) -> ModelParams:
         return ModelParams(self.cache_size + 2, self.cache_size, self.delay)
@@ -125,23 +122,17 @@ def counterexample_sequence(delay: int, cache_size: int = 1) -> CounterexampleSp
     )
 
 
-@dataclass
-class NonAntimonotonicityReport:
+class NonAntimonotonicityReport(namedtuple(
+        "NonAntimonotonicityReport", "baseline_latency extra_hit_latency gap "
+        "fetch_on_hit_baseline fetch_on_hit_extra baseline_witness extra_hit_witness "
+        "opt_latency opt_unique", defaults=(None,) * 4)):
     """Verified evidence that the extra hit strictly increases latency.
 
     Each search's evidence stays None until that search passes, so the
     partial report that an overrun carries keeps what was verified.
     """
 
-    baseline_latency: int
-    extra_hit_latency: int
-    gap: int
-    fetch_on_hit_baseline: int
-    fetch_on_hit_extra: int
-    baseline_witness: list[int] | None = None
-    extra_hit_witness: list[int] | None = None
-    opt_latency: int | None = None
-    opt_unique: bool | None = None
+    __slots__ = ()
 
 
 def verify_nonantimonotonicity(
@@ -195,15 +186,15 @@ def verify_nonantimonotonicity(
     params = cspec.params()
     step = "baseline feasibility"
     try:
-        ok, report.baseline_witness = is_hit_sequence_feasible(params, seq, b, node_budget)
+        ok, witness = is_hit_sequence_feasible(params, seq, b, node_budget)
         if not ok:
             raise VerificationError("baseline hit sequence is not feasible")
+        report = report._replace(baseline_witness=witness)
         step = "extra-hit feasibility"
-        ok, report.extra_hit_witness = is_hit_sequence_feasible(
-            params, seq, b_hi, node_budget
-        )
+        ok, witness = is_hit_sequence_feasible(params, seq, b_hi, node_budget)
         if not ok:
             raise VerificationError("extra-hit hit sequence is not feasible")
+        report = report._replace(extra_hit_witness=witness)
         if not check_optimal:
             return report
         step = "optimum"
@@ -212,14 +203,14 @@ def verify_nonantimonotonicity(
             raise VerificationError(
                 f"exhaustive optimum {opt_latency} != baseline latency {low}"
             )
-        report.opt_latency = opt_latency
+        report = report._replace(opt_latency=opt_latency)
         step = "unique-optimum"
         _, optima = optimal_hit_sequences(params, seq, node_budget)
         if optima != {tuple(b)}:
             raise VerificationError(
                 f"baseline is not the unique optimal hit sequence; found {len(optima)}"
             )
-        report.opt_unique = True
+        report = report._replace(opt_unique=True)
     except SearchBudgetExceeded as exc:
         overrun = SearchBudgetExceeded(f"{step} search: {exc}")
         overrun.report = report

@@ -21,7 +21,7 @@ the whole simulation is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 STANDARD = "standard"
 ANTIMONOTONE = "antimonotone"
@@ -43,45 +43,59 @@ class VerificationError(Exception):
     """A checked property failed; the message names the violated check."""
 
 
-@dataclass(frozen=True)
 class ModelParams:
-    """Instance parameters: item universe, cache capacity, fetch delay, variant."""
+    """Instance parameters: item universe, cache capacity, fetch delay, variant.
 
-    num_items: int
-    cache_size: int
-    delay: int
-    mode: str = STANDARD
+    An immutable value, compared, hashed and printed by its four fields.
+    """
 
-    def __post_init__(self):
-        if self.num_items < 1:
-            raise ValueError("num_items must be >= 1")
-        if self.cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
-        if self.delay < 1:
-            raise ValueError("delay must be >= 1")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+    __slots__ = ("num_items", "cache_size", "delay", "mode")
+
+    def __init__(self, num_items: int, cache_size: int, delay: int, mode: str = STANDARD):
+        for name, value in zip(self.__slots__, (num_items, cache_size, delay)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        for name, value in zip(self.__slots__, (num_items, cache_size, delay, mode)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self):
+        return self.num_items, self.cache_size, self.delay, self.mode
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key()
 
     def initial_cache(self) -> frozenset[int]:
         # by convention the cache starts holding items 1..cache_size
         return frozenset(range(1, self.cache_size + 1))
 
 
-@dataclass
-class SimulationResult:
+class SimulationResult(namedtuple("SimulationResult", "hit_sequence per_request_latency "
+                                  "eviction_sequence total_latency initial_cache insertions")):
     """Everything observable from one run, final at its last request.
 
     The cache contents are not stored per step: ``cache_history`` is
     rebuilt on access from the initial cache, the eviction sequence and
-    the item cached at each eviction.
+    ``insertions``, the item cached at each nonzero eviction, in order.
     """
 
-    hit_sequence: list[int]
-    per_request_latency: list[int]
-    eviction_sequence: list[int]
-    total_latency: int
-    initial_cache: frozenset[int]
-    insertions: list[int]      # item cached at each nonzero eviction, in order
+    __slots__ = ()
 
     @property
     def cache_history(self) -> list[frozenset[int]]:

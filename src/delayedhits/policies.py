@@ -32,8 +32,8 @@ from __future__ import annotations
 import operator
 import random
 from bisect import bisect_right
+from collections import namedtuple
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import accumulate
 
@@ -253,14 +253,12 @@ def draw_policy(rng, sequence, k, n) -> Policy:
 # -- exhaustive offline search ------------------------------------------
 
 
-@dataclass
-class OptResult:
-    """Exact offline optimum with one canonical witness schedule."""
+class OptResult(namedtuple("OptResult", "min_latency witness_evictions witness_hits nodes",
+                           defaults=(0,))):
+    """Exact offline optimum with one canonical witness schedule; ``nodes``
+    counts the decision nodes the search visited."""
 
-    min_latency: int
-    witness_evictions: list[int]
-    witness_hits: list[int]
-    nodes: int = 0              # decision nodes the search visited
+    __slots__ = ()
 
 
 def _miss_window(sim, item, times, delay):

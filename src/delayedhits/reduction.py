@@ -14,8 +14,7 @@ disposable victim always exists.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, replace
+from collections import deque, namedtuple
 
 from .model import (
     ANTIMONOTONE,
@@ -30,8 +29,8 @@ from .policies import Policy
 
 def reduction_outer_params(inner_params: ModelParams) -> ModelParams:
     """Standard-model parameters for the wrapped policy (capacity k + delay)."""
-    k, delay = inner_params.cache_size, inner_params.delay
-    return replace(inner_params, cache_size=k + delay, mode=STANDARD)
+    n, k, delay = inner_params.num_items, inner_params.cache_size, inner_params.delay
+    return ModelParams(n, k + delay, delay, STANDARD)
 
 
 class ReductionPolicy(Policy):
@@ -53,7 +52,8 @@ class ReductionPolicy(Policy):
 
     def __init__(self, inner_policy: Policy, inner_params: ModelParams):
         self.inner_policy = inner_policy
-        self.inner_params = replace(inner_params, mode=ANTIMONOTONE)
+        n, k, delay = inner_params.num_items, inner_params.cache_size, inner_params.delay
+        self.inner_params = ModelParams(n, k, delay, ANTIMONOTONE)
 
     def reset(self, params):
         inner = self.inner_params
@@ -81,25 +81,23 @@ class ReductionPolicy(Policy):
 wrap_reduction = ReductionPolicy
 
 
-@dataclass
-class DominationReport:
+class DominationReport(namedtuple("DominationReport", "inner_per_request outer_per_request "
+                                  "inner_total outer_total")):
     """Paired run of A (fetch-on-hit, cache k) and B (standard, cache k+delay)."""
 
-    inner_per_request: list[int]
-    outer_per_request: list[int]
-    inner_total: int
-    outer_total: int
+    __slots__ = ()
 
 
 def verify_domination(sequence, inner_policy: Policy, inner_params: ModelParams) -> DominationReport:
     """Run both models on one trace and check B never does worse anywhere.
 
+    A's run is the one B shadows in lockstep, so each policy runs once.
     Raises :class:`VerificationError` naming the first timestep where the
     wrapped policy's latency exceeds the inner policy's.
     """
     wrapped = ReductionPolicy(inner_policy, inner_params)
-    inner_run = simulate(wrapped.inner_params, sequence, inner_policy)
     outer_run = simulate(reduction_outer_params(inner_params), sequence, wrapped)
+    inner_run = wrapped.inner.result()
 
     for t, (inner_lat, outer_lat) in enumerate(
         zip(inner_run.per_request_latency, outer_run.per_request_latency), start=1

@@ -1,9 +1,9 @@
 """End-to-end command-line behavior: envelopes, exit codes, round trips."""
 
-import dataclasses
 import hashlib
 import json
 import operator
+import os
 import random
 import subprocess
 import sys
@@ -13,7 +13,7 @@ import pytest
 
 from delayedhits import InfeasibleEvictionError, VerificationError, cli, policies
 from delayedhits.cli import main
-from delayedhits.traces import read_trace
+from delayedhits.traces import random_sequence, read_trace
 
 
 def run_cli(capsys, *argv):
@@ -384,6 +384,23 @@ def test_importing_the_cli_builds_no_parser():
     subprocess.run([sys.executable, "-c", probe], check=True)
 
 
+def test_reader_closing_the_pipe_early_is_not_an_error(tmp_path):
+    # a report of several MB overfills the pipe, so the reader's close
+    # lands while the CLI is still writing
+    trace = write_lines(tmp_path / "big.txt", random_sequence(random.Random(5), 50, 200_000))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "delayedhits.cli", "simulate", trace, "-k", "5", "-Z", "4"],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{\n  "comma'
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait() == 0
+    assert stderr == b""
+
+
 def test_report_written_to_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     trace = write_lines(tmp_path / "t.txt", [1])
@@ -550,7 +567,7 @@ def _raising(exc):
 def _wrong_optimum(real):
     def wrong(*args, **kwargs):
         result = real(*args, **kwargs)
-        return dataclasses.replace(result, min_latency=result.min_latency + 1)
+        return result._replace(min_latency=result.min_latency + 1)
     return wrong
 
 

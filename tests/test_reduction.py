@@ -5,6 +5,7 @@ import random
 import pytest
 
 from delayedhits import (
+    ANTIMONOTONE,
     ModelParams,
     fifo_policy,
     lru_policy,
@@ -74,6 +75,32 @@ def test_outer_cache_is_exactly_k_plus_delay():
     seq = random_sequence(random.Random(3), 6, 40)
     run = simulate(outer, seq, wrap_reduction(lru_policy(), inner_params))
     assert all(len(state) == 6 for state in run.cache_history)
+
+
+@pytest.mark.parametrize("make", [lru_policy, fifo_policy], ids=["lru", "fifo"])
+@pytest.mark.parametrize("wide", [True, False], ids=["n>k+Z", "n<=k+Z"])
+def test_shadow_run_equals_an_independent_inner_run(make, wide):
+    # verify_domination reports the wrapper's lockstep shadow as A's run;
+    # check it against A simulated on its own, fresh policy and all
+    rng = random.Random(31 if wide else 37)
+    insertions = 0
+    for _ in range(60):
+        k, delay = rng.randint(1, 4), rng.randint(1, 6)
+        n = k + delay + rng.randint(1, 6) if wide else rng.randint(2, k + delay)
+        seq = random_sequence(rng, n, rng.randint(1, 80))
+        inner_params = ModelParams(n, k, delay)
+        wrapped = wrap_reduction(make(), inner_params)
+        simulate(reduction_outer_params(inner_params), seq, wrapped)
+        shadow = wrapped.inner.result()
+        alone = simulate(ModelParams(n, k, delay, ANTIMONOTONE), seq, make())
+        assert shadow.per_request_latency == alone.per_request_latency
+        assert shadow.eviction_sequence == alone.eviction_sequence
+        assert shadow.insertions == alone.insertions
+        report = verify_domination(seq, make(), inner_params)
+        assert report.inner_per_request == alone.per_request_latency
+        assert report.inner_total == alone.total_latency
+        insertions += len(alone.insertions)
+    assert insertions > 100
 
 
 class CheckedReduction:

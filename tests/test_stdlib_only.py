@@ -1,6 +1,9 @@
-"""The core package imports nothing outside the standard library."""
+"""The core package imports nothing outside the standard library, and its
+start-up skips the modules that only dataclasses would bring in."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,3 +32,17 @@ def test_core_declares_no_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     assert project["project"]["dependencies"] == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # the records are named tuples and a slotted class, so start-up skips
+    # dataclasses, inspect and the ast, dis and tokenize that inspect loads
+    probe = (
+        "import sys, delayedhits.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "[]\n"
