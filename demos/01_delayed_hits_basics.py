@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Tour of the delayed-hits model: phases, delayed hits, draining, replay.
+"""Tour of the delayed-hits model: phases, delayed hits, the end of a run, replay.
 
 A cache sits in front of a backing store that takes `delay` timesteps to
 answer. When several requests for the same item pile up while its fetch
@@ -41,7 +41,7 @@ def main():
     print("3. The trace can end while fetches are in flight")
     print("=" * 72)
     result = simulate(ModelParams(2, 1, 5), [2], never_cache_policy())
-    show("a single cold request with delay 5: served during the drain", result)
+    show("one cold request with delay 5: its latency is fixed when it misses", result)
 
     print()
     print("=" * 72)

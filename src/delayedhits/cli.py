@@ -259,7 +259,9 @@ def _antimono_case(rng, idle_prob):
 def _reduction_case(rng, idle_prob):
     k = rng.randint(1, 3)
     delay = rng.randint(1, 6)
-    n = rng.randint(2, 8)
+    # the wrapper's cache holds k + delay items, so only items above that
+    # ever reach its eviction rule
+    n = k + delay + rng.randint(1, 4)
     sequence = random_sequence(rng, n, rng.randint(1, 50), idle_prob)
     inner = make_policy(rng.choice(["lru", "fifo"]))
     try:

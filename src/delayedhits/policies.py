@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import operator
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
 from collections.abc import Set as AbstractSet
-from heapq import heapify, heappop, heappush, heapreplace
 from itertools import accumulate
 
 from .model import ModelParams, Simulation, _hits, _unchain, validate_sequence
@@ -69,40 +68,32 @@ class LruPolicy(Policy):
     """Evict the resident item whose most recent request is oldest.
 
     Never-requested residents rank oldest and ties go to the smaller id:
-    the victim is the resident with the smallest (last request, id). A
-    heap holds each resident's key. A hit pushes the item's new key and
-    leaves the old one stale, an insertion takes the victim's slot, and
-    stale keys are dropped when they reach the top or when the heap
-    outgrows twice the cache, so requests and decisions cost O(log k).
+    the victim is the resident with the smallest (last request, id).
+    ``order`` holds the residents' keys, sorted, and stays equal to the
+    cache since the simulator applies every victim a policy names. A hit
+    moves its key to the end (request times are unique); a decision pops
+    the head and inserts the new key: O(log k) comparisons plus an O(k)
+    pointer move each.
     """
 
     name = "lru"
 
     def reset(self, params):
         self.last_request = {}
-        self.heap = [(0, j) for j in sorted(params.initial_cache())]
-        self.compact_at = 2 * params.cache_size
+        self.order = [(0, j) for j in sorted(params.initial_cache())]
 
     def observe(self, t, item, hit):
         if item == 0:
             return
-        self.last_request[item] = t
         if hit:
-            heappush(self.heap, (t, item))
-            if len(self.heap) > self.compact_at:
-                last = self.last_request
-                self.heap = [key for key in self.heap if last.get(key[1], 0) == key[0]]
-                heapify(self.heap)
+            order = self.order
+            del order[bisect_left(order, (self.last_request.get(item, 0), item))]
+            order.append((t, item))
+        self.last_request[item] = t
 
     def choose_eviction(self, t, item, cache):
-        heap = self.heap
-        last = self.last_request
-        while True:
-            stamp, victim = heap[0]
-            if victim in cache and last.get(victim, 0) == stamp:
-                break
-            heappop(heap)
-        heapreplace(heap, (last.get(item, 0), item))
+        victim = self.order.pop(0)[1]
+        insort(self.order, (self.last_request[item], item))
         return victim
 
 
@@ -335,7 +326,8 @@ def _search(params, sequence, node_budget, cut, target=None):
 
     def advance(sim):
         """Run on from a choice to the next decision: the item returned
-        there, or None once the branch is cut or reaches its end."""
+        there, or None at a missed target or the end. The cache holds still
+        on the way, so all it commits lies in the choice's bound."""
         nonlocal best
         while sim.t < len(sequence):
             pos = sim.t
@@ -343,8 +335,6 @@ def _search(params, sequence, node_budget, cut, target=None):
             if target is not None and (sim.per_request_latency[pos] == 0) != target[pos]:
                 return None
             returned = sim.retrieval_serve()
-            if cut and cut(sim.committed, best):
-                return None
             if sim.needs_decision(returned):
                 return returned
         # a run the cut lets through beats every run before it, or ties under >

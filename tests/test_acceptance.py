@@ -29,9 +29,8 @@ from delayedhits import (
     static_policy,
     verify_domination,
 )
+from delayedhits.policies import draw_policy
 from delayedhits.traces import random_sequence
-
-from conftest import draw_policy
 
 
 @contextmanager

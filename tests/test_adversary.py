@@ -18,8 +18,7 @@ from delayedhits import (
     simulate,
     static_policy,
 )
-
-from conftest import draw_policy
+from delayedhits.policies import draw_policy
 
 
 def test_segment_rendering():

@@ -13,6 +13,7 @@ import pytest
 
 from delayedhits import InfeasibleEvictionError, VerificationError, cli, policies
 from delayedhits.cli import main
+from delayedhits.reduction import ReductionPolicy
 from delayedhits.traces import random_sequence, read_trace
 
 
@@ -283,6 +284,34 @@ def test_reduce_command(tmp_path, capsys):
     assert results["outer_cache_size"] == 4
 
 
+def test_reduce_reports_a_failed_domination(tmp_path, capsys, monkeypatch):
+    trace = write_lines(tmp_path / "t.txt", [0, 1, 3, 5, 2, 0, 2])
+    monkeypatch.setattr(cli, "verify_domination", _reject_delay_two(cli.verify_domination))
+    code, report = run_cli(capsys, "reduce", trace, "-k", "1", "-Z", "2")
+    assert code == 1
+    assert report["results"] == {"dominates": False, "violation": "injected fault at Z=2"}
+
+
+def test_reduction_sweep_reaches_the_wrappers_rule(capsys, monkeypatch):
+    """A case whose universe fits in the wrapper's k + delay slots never
+    asks the wrapper for a victim; the sweep draws n above that, so most
+    cases exercise the rule it checks."""
+    reached = set()
+    rule = ReductionPolicy.choose_eviction
+
+    def counted(self, t, item, cache):
+        reached.add(self)
+        return rule(self, t, item, cache)
+
+    monkeypatch.setattr(ReductionPolicy, "choose_eviction", counted)
+    code, report = run_cli(
+        capsys, "check", "--suite", "reduction", "--cases", "400", "--seed", "1"
+    )
+    assert code == 0 and report["results"]["passed"] == 400
+    # one wrapper per case
+    assert len(reached) >= 300
+
+
 @pytest.mark.parametrize(
     "suite,cases", [("latency", 40), ("antimono", 60), ("reduction", 25)]
 )
@@ -539,7 +568,7 @@ _FAILURE_KEYS = {
         ("antimono", "antimonotone_latency", _penalize_two_mod_four_hits,
          80, 30, 38, 2, "pair"),
         ("reduction", "verify_domination", _reject_delay_two,
-         40, 10, 5, 17, "reduction"),
+         40, 10, 7, 7, "reduction"),
     ],
     ids=["latency", "antimono-flip", "antimono-pair", "reduction"],
 )
@@ -599,10 +628,12 @@ def _wrong_optimum(real):
          None, None, 2, "--static-items must name items in 1..49, got ''"),
         (["adversary", "--policy", "static", "-k", "2", "-Z", "3", "--static-items", "7"],
          None, None, 2, "--static-items must name items in 1..3, got '7'"),
+        (["simulate", "TRACE", "--policy", "static", "--static-items", "1,x"],
+         None, None, 2, "expected comma-separated integers, got '1,x'"),
     ],
     ids=["trace", "value", "universe", "infeasible", "budget", "verification",
          "out", "trace-out", "static-above-n", "static-above-inferred-n", "static-empty",
-         "static-empty-string", "static-adversary"],
+         "static-empty-string", "static-adversary", "static-not-integers"],
 )
 def test_main_maps_each_error_to_its_exit_code(
     tmp_path, capsys, monkeypatch, argv, target, patch, code, message

@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # (demo 01 prints a run's hit sequence and evictions) shows here
 DIGESTS = {
     "01_delayed_hits_basics.py":
-        "398ab7f3593c2448de2b51c623df8f36d7ec4734b5261f16bbc67ae55728af78",
+        "442dc10037f2d0e0381174e470555c332e77ea4cab56f91c0a1b04807c4f7413",
     "02_latency_as_a_function_of_hits.py":
         "68a005a3b3ae135ebf4fdf29a241ad3673c3ab69ed6ace12c98695de172dc7dd",
     "03_adversarial_lower_bound.py":

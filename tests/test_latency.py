@@ -14,8 +14,8 @@ from delayedhits import (
     dominates,
     simulate,
 )
-
-from conftest import draw_instance, draw_policy
+from delayedhits.policies import draw_policy
+from delayedhits.traces import draw_instance
 
 
 def test_burst_all_miss():

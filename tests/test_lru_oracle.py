@@ -1,4 +1,4 @@
-"""Differential test: the heap-backed LRU against the plain linear-scan rule.
+"""Differential test: the sorted-list LRU against the plain linear-scan rule.
 
 The oracle is the rule LRU is defined by, evaluated from scratch at every
 decision: among the residents, the smallest (last request, id), where a
@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 
 from delayedhits import ANTIMONOTONE, STANDARD, ModelParams, simulate, verify_domination
 from delayedhits.policies import LruPolicy
-from delayedhits.traces import random_sequence
-
-from conftest import draw_instance
+from delayedhits.traces import draw_instance, random_sequence
 
 
 def oracle_victim(cache, last_request):
@@ -77,8 +75,8 @@ def test_seeded_instances_both_modes():
 
 
 def test_long_trace_with_heap_rebuilds():
-    # a hot set inside a wider universe: many hits between decisions, so
-    # stale keys pile up and the heap is rebuilt many times
+    # a hot set inside a wider universe: many hits between decisions, each
+    # moving a key out of the middle of the sorted list to its end
     rng = random.Random(77)
     seq = [rng.choice([rng.randint(1, 12), rng.randint(1, 200)]) for _ in range(6000)]
     for mode in (STANDARD, ANTIMONOTONE):

@@ -1,4 +1,4 @@
-"""Core state-machine semantics: phases, serving, draining, replay."""
+"""Core state-machine semantics: phases, serving, the end of a run, replay."""
 
 import random
 import tracemalloc
@@ -19,9 +19,8 @@ from delayedhits import (
     replay,
     simulate,
 )
-from delayedhits.policies import RandomEvictionPolicy
-
-from conftest import draw_instance, draw_policy
+from delayedhits.policies import RandomEvictionPolicy, draw_policy
+from delayedhits.traces import draw_instance
 
 
 @pytest.mark.parametrize("delay", range(1, 11))
@@ -114,6 +113,11 @@ def test_replay_length_mismatch():
 def test_sequence_validation():
     with pytest.raises(ValueError):
         simulate(ModelParams(2, 1, 1), [3], lru_policy())
+
+
+def test_request_phase_rejects_item_outside_universe():
+    with pytest.raises(ValueError, match=r"^item 4 outside 0\.\.3$"):
+        Simulation(ModelParams(3, 1, 1)).request_phase(4)
 
 
 @pytest.mark.parametrize(

@@ -20,9 +20,8 @@ from delayedhits import (
     simulate,
     static_policy,
 )
-from delayedhits.policies import BeladyPolicy, SearchBudgetExceeded
-
-from conftest import draw_instance, draw_policy
+from delayedhits.policies import BeladyPolicy, SearchBudgetExceeded, draw_policy
+from delayedhits.traces import draw_instance
 
 
 def test_lru_evicts_least_recently_requested():
@@ -65,6 +64,11 @@ def test_static_policy_converges_then_freezes():
 def test_static_policy_validates_size():
     with pytest.raises(ValueError):
         simulate(ModelParams(3, 1, 1), [2], static_policy({1, 2}))
+
+
+def test_static_policy_rejects_nonpositive_items():
+    with pytest.raises(ValueError, match="static target items must be positive"):
+        static_policy([0, 2])
 
 
 def test_belady_declines_item_never_used_again():

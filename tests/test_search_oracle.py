@@ -184,3 +184,40 @@ def test_branch_keys_and_bounds_match_a_cloned_eviction():
             victim = policy.choose_eviction(sim.t, returned, sim.cache.keys())
             sim.apply_eviction(returned, victim)
     assert decisions > 1000
+
+
+def test_a_choice_commits_no_more_than_its_bound_before_the_next_decision():
+    """The cache holds still between two decisions, so all a branch commits
+    until the next one lies in a miss window its bound already counted: the
+    search needs no cut on the way. At each decision of seeded random runs,
+    each choice run on to the next decision, or to the end, stays within
+    the bound ``_branches`` gives it."""
+    rng = random.Random(11)
+    checked = 0
+    for run in range(300):
+        k = rng.randint(1, 3)
+        n = k + rng.randint(1, 7 - k)
+        params = ModelParams(n, k, rng.randint(1, 6), (STANDARD, ANTIMONOTONE)[run % 2])
+        sequence = random_sequence(rng, n, rng.randint(1, 30))
+        terms = _forced_terms(params, sequence)
+        policy = RandomEvictionPolicy(rng.randrange(2**30))
+        policy.reset(params)
+        sim = Simulation(params)
+        for item in sequence:
+            hit = sim.request_phase(item)
+            policy.observe(sim.t, item, hit)
+            returned = sim.retrieval_serve()
+            if not sim.needs_decision(returned):
+                continue
+            for choice, _, bound in _branches(sim, returned, terms):
+                taken = sim.clone()
+                taken.apply_eviction(returned, choice)
+                while taken.t < len(sequence):
+                    taken.request_phase(sequence[taken.t])
+                    if taken.needs_decision(taken.retrieval_serve()):
+                        break
+                assert taken.committed <= bound
+                checked += 1
+            victim = policy.choose_eviction(sim.t, returned, sim.cache.keys())
+            sim.apply_eviction(returned, victim)
+    assert checked > 2000
