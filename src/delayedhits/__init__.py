@@ -1,6 +1,16 @@
-"""Deterministic simulator and analysis toolkit for caching with delayed hits."""
+"""Deterministic simulator and analysis toolkit for caching with delayed hits.
+
+``import delayedhits`` loads the model, the closed forms, the policies and
+the searches, the k+Z reduction and the trace I/O. The two constructions
+of the lower-bound paper, ``adversary`` and ``counterexample`` (and the
+``fractions`` module that the adversary's ratio needs), load on first use
+of one of their names or of the submodule itself; every name in
+``__all__`` resolves as before.
+"""
 
 __version__ = "0.1.0"
+
+from importlib import import_module as _import_module
 
 from .model import (
     ANTIMONOTONE,
@@ -28,24 +38,24 @@ from .policies import (
     optimal_hit_sequences,
     static_policy,
 )
-from .adversary import (
-    AdversaryReport,
-    build_adversarial_sequence,
-    bursty_segment,
-    pure_segment,
-)
-from .counterexample import (
-    CounterexampleSpec,
-    building_block,
-    counterexample_sequence,
-    verify_nonantimonotonicity,
-)
 from .reduction import (
     reduction_outer_params,
     verify_domination,
     wrap_reduction,
 )
 from .traces import random_sequence, read_trace, write_trace
+
+# public name -> the submodule that defines it, imported on first access
+_LAZY = {
+    "AdversaryReport": "adversary",
+    "build_adversarial_sequence": "adversary",
+    "bursty_segment": "adversary",
+    "pure_segment": "adversary",
+    "CounterexampleSpec": "counterexample",
+    "building_block": "counterexample",
+    "counterexample_sequence": "counterexample",
+    "verify_nonantimonotonicity": "counterexample",
+}
 
 __all__ = [
     "ANTIMONOTONE",
@@ -87,3 +97,20 @@ __all__ = [
     "wrap_reduction",
     "write_trace",
 ]
+
+
+def __getattr__(name):
+    # called only for a name the package does not hold yet (PEP 562)
+    if name in _LAZY.values():
+        # importing a submodule binds it in the package as well
+        return _import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    # the names an eager import would have bound, loaded or not
+    return sorted({*globals(), *_LAZY, *_LAZY.values()})

@@ -8,6 +8,10 @@ vectors skip ``json``'s pure-Python indenting encoder.
 Exit codes: 0 ok, 1 property violation, 2 input error, 3 infeasible
 eviction, 4 search budget exceeded; a reader that closes stdout before
 the report ends leaves the code as it was.
+
+Start-up imports what ``simulate``, ``reduce`` and ``check`` run. The
+``adversary`` and ``counterexample`` commands import their construction
+(and, for the adversary, ``fractions``) when they run.
 """
 
 from __future__ import annotations
@@ -18,11 +22,8 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .adversary import build_adversarial_sequence
-from .counterexample import counterexample_sequence, verify_nonantimonotonicity
 from .latency import antimonotone_latency, delayed_hits_latency
 from .model import (
     ANTIMONOTONE,
@@ -67,7 +68,8 @@ _EXIT_CODES = {
 }
 
 
-def _ratio_json(fr: Fraction) -> dict:
+def _ratio_json(fr) -> dict:
+    """A Fraction as its exact numerator and denominator and 6 decimals."""
     return {
         "numerator": fr.numerator,
         "denominator": fr.denominator,
@@ -118,6 +120,8 @@ def _check_search_budget(args):
 
 
 def cmd_adversary(args):
+    from .adversary import build_adversarial_sequence
+
     n = args.n if args.n is not None else args.k + 1
     params = ModelParams(n, args.k, args.Z)
     if args.policy == "belady":
@@ -160,6 +164,8 @@ def cmd_adversary(args):
 
 
 def cmd_counterexample(args):
+    from .counterexample import counterexample_sequence, verify_nonantimonotonicity
+
     _check_search_budget(args)
     cspec = counterexample_sequence(args.Z, args.k)
     if args.trace_out:

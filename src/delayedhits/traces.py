@@ -87,7 +87,8 @@ def request_times(sequence) -> dict[int, list[int]]:
 
 
 def infer_num_items(sequence) -> int:
-    return max([1, *sequence])
+    """The largest item requested, and at least 1; copies nothing."""
+    return max(1, max(sequence, default=1))
 
 
 def random_sequence(rng, num_items: int, length: int, idle_prob: float = 0.25) -> list[int]:

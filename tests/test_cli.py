@@ -418,16 +418,16 @@ def test_reader_closing_the_pipe_early_is_not_an_error(tmp_path):
     # lands while the CLI is still writing
     trace = write_lines(tmp_path / "big.txt", random_sequence(random.Random(5), 50, 200_000))
     src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "delayedhits.cli", "simulate", trace, "-k", "5", "-Z", "4"],
         env={**os.environ, "PYTHONPATH": src},
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    assert proc.stdout.read(10) == b'{\n  "comma'
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    assert proc.wait() == 0
-    assert stderr == b""
+    ) as proc:
+        assert proc.stdout.read(10) == b'{\n  "comma'
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait() == 0
+        assert stderr == b""
 
 
 def test_report_written_to_file(tmp_path, capsys):
@@ -488,9 +488,16 @@ def _seeded_trace(path, seed, num_items, length):
          "9f06bb59cdefddc4dd761dff1f09aabbd7fb2ba214d5f68b9d730400710dfcb0"),
         (["reduce", "TRACE", "-n", "40", "-k", "6", "-Z", "9", "--policy", "belady"],
          "d8420102447709a0c8ae574981505414017219f4312c3d85a28480e5d66bbb45"),
+        (["simulate", "TRACE", "-n", "40", "-k", "6", "-Z", "9", "--policy", "lru",
+          "--model", "antimonotone"],
+         "2656a917a7c1ac18ba7ab64b589245da91b27f83da26a4936d3039676e02c5e5"),
+        # a universe above k + 1, so the adversary has an item it never requests
+        (["adversary", "--policy", "fifo", "-n", "6", "-k", "3", "-Z", "5", "--oracle-check"],
+         "67e1bef1c4129fa7d8feb990059841be5f25311f81e1de3436655a6090a6c1da"),
     ],
     ids=["simulate-lru", "simulate-fifo", "counterexample", "adversary", "check",
-         "reduce-lru", "reduce-fifo", "reduce-belady"],
+         "reduce-lru", "reduce-fifo", "reduce-belady", "simulate-antimonotone",
+         "adversary-wide-universe"],
 )
 def test_report_bytes_are_pinned(tmp_path, capsys, argv, digest):
     trace = _seeded_trace(tmp_path / "t.txt", 2024, 40, 2000)

@@ -16,6 +16,7 @@ from delayedhits import (
     wrap_reduction,
 )
 from delayedhits.policies import RandomEvictionPolicy
+from delayedhits.reduction import ReductionPolicy
 from delayedhits.traces import random_sequence
 
 
@@ -56,16 +57,37 @@ def test_domination_on_the_extra_hit_trace():
             assert report.outer_total <= report.inner_total
 
 
-def test_domination_sweep():
-    rng = random.Random(2024)
-    for _ in range(300):
+@pytest.mark.parametrize("wide", [True, False], ids=["n>k+Z", "n<=k+Z"])
+def test_domination_sweep(monkeypatch, wide):
+    # a universe of at most k + delay items fits in the wrapper's cache, so
+    # only the wide draw is sure to reach its eviction rule
+    decisions = 0
+    rule = ReductionPolicy.choose_eviction
+
+    def counted(self, t, item, cache):
+        nonlocal decisions
+        decisions += 1
+        return rule(self, t, item, cache)
+
+    monkeypatch.setattr(ReductionPolicy, "choose_eviction", counted)
+    rng = random.Random(2025 if wide else 2024)
+    cases, reached = 300, 0
+    for _ in range(cases):
         k = rng.randint(1, 3)
         delay = rng.randint(1, 6)
-        n = rng.randint(2, 8)
-        seq = random_sequence(rng, n, rng.randint(1, 60))
+        if wide:
+            n = k + delay + rng.randint(1, 4)
+            seq = random_sequence(rng, n, rng.randint(1, 200))
+        else:
+            n = rng.randint(2, 8)
+            seq = random_sequence(rng, n, rng.randint(1, 60))
         inner = lru_policy() if rng.random() < 0.5 else fifo_policy()
+        before = decisions
         report = verify_domination(seq, inner, ModelParams(n, k, delay))
         assert report.outer_total <= report.inner_total
+        reached += decisions > before
+    if wide:
+        assert reached >= 3 * cases // 4
 
 
 def test_outer_cache_is_exactly_k_plus_delay():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from delayedhits import cli
 from delayedhits.cli import _INT_SLICE, _json_chunks
-from delayedhits.traces import _PARSE_CHUNK, TraceError, parse_trace
+from delayedhits.traces import _PARSE_CHUNK, TraceError, infer_num_items, parse_trace
 
 
 def reference_dump(value):
@@ -228,3 +228,13 @@ def test_parse_trace_names_the_first_bad_line_across_chunks():
     expected = f"TraceError: line {_PARSE_CHUNK + 8}: requests must be nonnegative"
     assert parse_outcome(parse_trace, lines) == expected
     assert parse_outcome(reference_parse, lines) == expected
+
+
+@pytest.mark.parametrize(
+    "sequence,expected",
+    [([], 1), ([0, 0, 0], 1), ([3, 0, 7, 2, 7, 0], 7)],
+    ids=["empty", "all-idle", "largest-7"],
+)
+def test_infer_num_items(sequence, expected):
+    # the universe -n defaults to when a trace is given without it
+    assert infer_num_items(sequence) == expected

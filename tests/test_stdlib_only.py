@@ -1,5 +1,6 @@
 """The core package imports nothing outside the standard library, and its
-start-up skips the modules that only dataclasses would bring in."""
+start-up skips the modules that only dataclasses, or only the adversary
+and counterexample commands, would bring in."""
 
 import ast
 import os
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import delayedhits
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "delayedhits").glob("*.py"))
@@ -34,15 +37,51 @@ def test_core_declares_no_dependencies():
     assert project["project"]["dependencies"] == []
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # the records are named tuples and a slotted class, so start-up skips
-    # dataclasses, inspect and the ast, dis and tokenize that inspect loads
-    probe = (
-        "import sys, delayedhits.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+def _probe(code):
+    """The stdout of ``code`` run in a fresh interpreter on this checkout."""
+    return subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out == "[]\n"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # the records are named tuples and a slotted class, so start-up skips
+    # dataclasses, inspect and the ast, dis and tokenize that inspect loads;
+    # the two constructions, and fractions with them, load on first use
+    unwanted = {"dataclasses", "inspect", "fractions",
+                "delayedhits.adversary", "delayedhits.counterexample"}
+    probe = f"import sys, delayedhits.cli; print(sorted({unwanted!r} & set(sys.modules)))"
+    assert _probe(probe) == "[]\n"
+
+
+def test_star_import_binds_each_public_name_to_its_defining_modules_object():
+    # the star import resolves every name through the package, the lazy
+    # ones included, before the probe imports any submodule itself
+    layers = [path.stem for path in SOURCES if path.stem != "__init__"]
+    probe = (
+        "from delayedhits import *\n"
+        "import importlib, delayedhits\n"
+        "values = {name: globals()[name] for name in delayedhits.__all__}\n"
+        f"layers = [importlib.import_module('delayedhits.' + m) for m in {layers!r}]\n"
+        "for name, value in values.items():\n"
+        "    holders = [m for m in layers if name in vars(m)]\n"
+        "    assert holders and all(vars(m)[name] is value for m in holders), name\n"
+        "    assert getattr(delayedhits, name) is value, name\n"
+        "    print(name, getattr(value, '__module__', holders[0].__name__))\n"
+    )
+    homes = dict(line.split() for line in _probe(probe).splitlines())
+    assert list(homes) == delayedhits.__all__
+    assert homes["build_adversarial_sequence"] == "delayedhits.adversary"
+    assert homes["CounterexampleSpec"] == "delayedhits.counterexample"
+    assert homes["simulate"] == "delayedhits.model"
+
+
+def test_a_construction_submodule_resolves_after_a_bare_import():
+    probe = (
+        "import sys, delayedhits\n"
+        "assert 'delayedhits.counterexample' not in sys.modules\n"
+        "module = delayedhits.counterexample\n"
+        "print(module is sys.modules['delayedhits.counterexample'], module.__name__)"
+    )
+    assert _probe(probe) == "True delayedhits.counterexample\n"
