@@ -219,9 +219,13 @@ def cmd_reduce(args):
     return report_params, results, EXIT_OK
 
 
-def _latency_case(rng, idle_prob):
+def _draw_latency(rng, idle_prob):
     k, delay, n, sequence = draw_instance(rng, idle_prob=idle_prob)
-    policy = draw_policy(rng, sequence, k, n)
+    return k, delay, n, sequence, draw_policy(rng, sequence, k, n)
+
+
+def _check_latency(case):
+    k, delay, n, sequence, policy = case
     for mode, closed_form in (
         (STANDARD, delayed_hits_latency),
         (ANTIMONOTONE, antimonotone_latency),
@@ -240,11 +244,17 @@ def _latency_case(rng, idle_prob):
     return None
 
 
-def _antimono_case(rng, idle_prob):
+def _draw_antimono(rng, idle_prob):
     n = rng.randint(1, 6)
     delay = rng.randint(1, 8)
     sequence = random_sequence(rng, n, rng.randint(1, 50), idle_prob)
     bits = [rng.randint(0, 1) for _ in sequence]
+    upper = [b | (rng.random() < 0.5) for b in bits]
+    return n, delay, sequence, bits, upper
+
+
+def _check_antimono(case):
+    n, delay, sequence, bits, upper = case
     base, _ = antimonotone_latency(sequence, delay, bits)
     failure = {"sequence": sequence, "bits": bits, "params": {"n": n, "Z": delay}}
     for pos, bit in enumerate(bits):
@@ -255,21 +265,25 @@ def _antimono_case(rng, idle_prob):
         value, _ = antimonotone_latency(sequence, delay, flipped)
         if value > base:
             return {**failure, "flip_pos": pos + 1, "base": base, "flipped": value}
-    upper = [b | (rng.random() < 0.5) for b in bits]
     value, _ = antimonotone_latency(sequence, delay, upper)
     if value > base:
         return {**failure, "pair": True, "base": base, "upper": value}
     return None
 
 
-def _reduction_case(rng, idle_prob):
+def _draw_reduction(rng, idle_prob):
     k = rng.randint(1, 3)
     delay = rng.randint(1, 6)
     # the wrapper's cache holds k + delay items, so only items above that
     # ever reach its eviction rule
     n = k + delay + rng.randint(1, 4)
     sequence = random_sequence(rng, n, rng.randint(1, 50), idle_prob)
-    inner = make_policy(rng.choice(["lru", "fifo"]))
+    return k, delay, n, sequence, rng.choice(["lru", "fifo"])
+
+
+def _check_reduction(case):
+    k, delay, n, sequence, inner_name = case
+    inner = make_policy(inner_name)
     try:
         verify_domination(sequence, inner, ModelParams(n, k, delay))
     except VerificationError as exc:
@@ -282,13 +296,46 @@ def _reduction_case(rng, idle_prob):
     return None
 
 
-# each suite draws one random case from the shared rng and returns a
-# failure description, or None when the case passes
+# each suite is (draw, check): draw(rng, idle_prob) takes every random
+# draw of one case from the sweep's one rng, so a case depends on the seed
+# alone; check(case) uses no rng and returns a failure description, or
+# None when the case passes
 _SUITES = {
-    "latency": _latency_case,
-    "antimono": _antimono_case,
-    "reduction": _reduction_case,
+    "latency": (_draw_latency, _check_latency),
+    "antimono": (_draw_antimono, _check_antimono),
+    "reduction": (_draw_reduction, _check_reduction),
 }
+
+# cases per task sent to a check worker
+_CHECK_CHUNK = 64
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _checked(check, cases, count):
+    """check(case) for each of the ``count`` cases, in case order.
+
+    Chunks of cases go to a fork pool with one worker per usable CPU and
+    at most one per chunk. With one worker, without fork, or while another
+    thread runs (a forked child would inherit the locks it holds), the same
+    checks run in this process. Leaving the pool terminates its workers,
+    whether the sweep ends or a check raises.
+    """
+    workers = min(_usable_cpus(), -(-count // _CHECK_CHUNK))
+    if workers > 1:
+        import multiprocessing
+        import threading
+
+        if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                yield from pool.imap(check, cases, _CHECK_CHUNK)
+            return
+    yield from map(check, cases)
 
 
 def cmd_check(args):
@@ -297,10 +344,12 @@ def cmd_check(args):
         raise ValueError(f"--cases must be positive, got {args.cases}")
     if not 0 <= args.idle_prob < 1:
         raise ValueError(f"--idle-prob must be in [0, 1), got {args.idle_prob}")
+    draw, check = _SUITES[args.suite]
     rng = random.Random(args.seed)
+    # drawn in order as the mapper takes them, so the sweep never holds them all
+    cases = (draw(rng, args.idle_prob) for _ in range(args.cases))
     failures, first = 0, None
-    for case in range(args.cases):
-        failure = _SUITES[args.suite](rng, args.idle_prob)
+    for case, failure in enumerate(_checked(check, cases, args.cases)):
         if failure is not None:
             failures += 1
             if first is None:

@@ -34,9 +34,15 @@ class InfeasibleEvictionError(Exception):
     def __init__(self, timestep, item, reason="item not resident"):
         self.timestep = timestep
         self.item = item
+        self.reason = reason
         super().__init__(
             f"infeasible eviction of item {item} at t={timestep}: {reason}"
         )
+
+    def __reduce__(self):
+        # rebuilt from its fields, so that it survives pickling (a check
+        # worker sends its exception to the parent); args hold the message
+        return type(self), (self.timestep, self.item, self.reason)
 
 
 class VerificationError(Exception):

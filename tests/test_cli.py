@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import multiprocessing
 import operator
 import os
+import pickle
 import random
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -304,6 +308,8 @@ def test_reduction_sweep_reaches_the_wrappers_rule(capsys, monkeypatch):
         return rule(self, t, item, cache)
 
     monkeypatch.setattr(ReductionPolicy, "choose_eviction", counted)
+    # in-process, so the wrappers are counted here and not in pool workers
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     code, report = run_cli(
         capsys, "check", "--suite", "reduction", "--cases", "400", "--seed", "1"
     )
@@ -571,9 +577,9 @@ _FAILURE_KEYS = {
         ("latency", "delayed_hits_latency", _off_by_one_when_length_divides_by_3,
          60, 23, 18, 10, "latency"),
         ("antimono", "antimonotone_latency", _penalize_two_mod_four_hits,
-         80, 4, 13, 16, "flip"),
+         80, 4, 20, 16, "flip"),
         ("antimono", "antimonotone_latency", _penalize_two_mod_four_hits,
-         80, 30, 38, 2, "pair"),
+         80, 30, 27, 2, "pair"),
         ("reduction", "verify_domination", _reject_delay_two,
          40, 10, 7, 7, "reduction"),
     ],
@@ -655,3 +661,150 @@ def test_main_maps_each_error_to_its_exit_code(
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("error: ") and message in line
+
+
+# one instance of each exception class that reaches main, as source text
+# that builds it among cli's names, here and in the subprocess probe below
+_EXIT_EXAMPLES = {
+    "TraceError('unreadable trace')": 2,
+    "ValueError('bad value')": 2,
+    "InfeasibleEvictionError(5, 2)": 3,
+    "InfeasibleEvictionError(7, 1, 'no insertion opportunity')": 3,
+    "SearchBudgetExceeded('too large')": 4,
+    "VerificationError('injected fault')": 1,
+}
+
+
+def test_exit_code_exceptions_survive_pickling():
+    # a check worker sends what it raises to the parent through pickle
+    examples = [eval(text, vars(cli)) for text in _EXIT_EXAMPLES]
+    assert {type(exc) for exc in examples} == set(cli._EXIT_CODES)
+    budget = policies.SearchBudgetExceeded("overrun")
+    budget.report = {"partial": True}
+    for exc in [*examples, budget]:
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is type(exc)
+        assert str(copy) == str(exc)
+        assert vars(copy) == vars(exc)
+
+
+@pytest.mark.parametrize("text,code", _EXIT_EXAMPLES.items(), ids=list(_EXIT_EXAMPLES))
+def test_a_check_raising_in_a_worker_reaches_main(text, code):
+    """An exception from a pooled check gives main's exit code and error
+    line, and leaves no worker behind. It runs in a subprocess with a
+    timeout, so that a pool that never returns fails the test."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import multiprocessing\n"
+        "from delayedhits import cli\n"
+        f"exc = eval({text!r}, vars(cli))\n"
+        "def explode(*args):\n"
+        "    raise exc\n"
+        "cli.simulate = explode\n"
+        "cli._usable_cpus = lambda: 2\n"
+        "code = cli.main(['check', '--suite', 'latency', '--cases', '300'])\n"
+        "assert not multiprocessing.active_children()\n"
+        "sys.exit(code)\n"
+    )
+    with subprocess.Popen(
+        [sys.executable, "-c", probe], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    ) as child:
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)  # its workers too
+            raise
+    expected = eval(text, vars(cli))
+    assert (child.returncode, out, err) == (code, "", f"error: {expected}\n")
+
+
+# the layer each suite's check calls, patched to see where checks run
+_CHECKED_CALL = {
+    "latency": "simulate",
+    "antimono": "antimonotone_latency",
+    "reduction": "verify_domination",
+}
+
+
+def _sweep(capsys, monkeypatch, cpus, argv):
+    """(exit code, report, hash of the drawn cases, calls the checks made
+    in this process) of one check run with ``cpus`` usable CPUs."""
+    suite = argv[argv.index("--suite") + 1]
+    draw, check = cli._SUITES[suite]
+    drawn = hashlib.sha256()
+    here = []
+
+    def recorded_draw(rng, idle_prob):
+        case = draw(rng, idle_prob)
+        drawn.update(pickle.dumps(case, protocol=4))
+        return case
+
+    def recorded_call(real):
+        def call(*args):
+            here.append(1)
+            return real(*args)
+        return call
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_usable_cpus", lambda: cpus)
+        patch.setattr(cli, "_SUITES", {**cli._SUITES, suite: (recorded_draw, check)})
+        name = _CHECKED_CALL[suite]
+        patch.setattr(cli, name, recorded_call(getattr(cli, name)))
+        code = main(argv)
+    assert multiprocessing.active_children() == []
+    return code, capsys.readouterr().out, drawn.hexdigest(), len(here)
+
+
+@pytest.mark.parametrize("suite", sorted(cli._SUITES))
+@pytest.mark.parametrize("cases", [3 * cli._CHECK_CHUNK + 5, cli._CHECK_CHUNK - 1])
+def test_pooled_sweep_equals_in_process_sweep(capsys, monkeypatch, suite, cases):
+    argv = ["check", "--suite", suite, "--cases", str(cases), "--seed", "11"]
+    pooled = _sweep(capsys, monkeypatch, 2, argv)
+    alone = _sweep(capsys, monkeypatch, 1, argv)
+    assert pooled[:3] == alone[:3] and pooled[0] == 0
+    # more than one chunk goes to the workers; one chunk stays in-process
+    assert alone[3] > 0
+    assert (pooled[3] == 0) == (cases > cli._CHECK_CHUNK)
+
+
+@pytest.mark.parametrize(
+    "suite,target,fault,cases,seed",
+    [
+        ("latency", "delayed_hits_latency", _off_by_one_when_length_divides_by_3, 60, 23),
+        ("antimono", "antimonotone_latency", _penalize_two_mod_four_hits, 80, 4),
+        ("antimono", "antimonotone_latency", _penalize_two_mod_four_hits, 80, 30),
+        ("reduction", "verify_domination", _reject_delay_two, 40, 10),
+    ],
+    ids=["latency", "antimono-flip", "antimono-pair", "reduction"],
+)
+def test_pooled_failing_sweep_equals_in_process_sweep(
+    capsys, monkeypatch, suite, target, fault, cases, seed
+):
+    # a small chunk sends even these short sweeps to the pool
+    monkeypatch.setattr(cli, "_CHECK_CHUNK", 16)
+    monkeypatch.setattr(cli, target, fault(getattr(cli, target)))
+    argv = ["check", "--suite", suite, "--cases", str(cases), "--seed", str(seed)]
+    pooled = _sweep(capsys, monkeypatch, 2, argv)
+    alone = _sweep(capsys, monkeypatch, 1, argv)
+    assert pooled[:3] == alone[:3] and pooled[0] == 1
+    assert pooled[3] == 0 and alone[3] > 0
+    first = json.loads(alone[1])["results"]["first_failure"]
+    assert first is not None and json.loads(pooled[1])["results"]["first_failure"] == first
+
+
+def test_sweep_runs_in_process_while_another_thread_runs(capsys, monkeypatch):
+    # a forked child would inherit the locks the other thread holds
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        argv = ["check", "--suite", "reduction", "--cases", "200", "--seed", "3"]
+        code, out, drawn, here = _sweep(capsys, monkeypatch, 2, argv)
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert code == 0 and here > 0
+    assert (out, drawn) == _sweep(capsys, monkeypatch, 1, argv)[1:3]

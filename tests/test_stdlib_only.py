@@ -48,8 +48,9 @@ def _probe(code):
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # the records are named tuples and a slotted class, so start-up skips
     # dataclasses, inspect and the ast, dis and tokenize that inspect loads;
-    # the two constructions, and fractions with them, load on first use
-    unwanted = {"dataclasses", "inspect", "fractions",
+    # the two constructions, and fractions with them, load on first use,
+    # and check's pool of workers only when it runs one
+    unwanted = {"dataclasses", "inspect", "fractions", "multiprocessing",
                 "delayedhits.adversary", "delayedhits.counterexample"}
     probe = f"import sys, delayedhits.cli; print(sorted({unwanted!r} & set(sys.modules)))"
     assert _probe(probe) == "[]\n"
