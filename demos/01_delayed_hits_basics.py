@@ -8,7 +8,7 @@ those are the delayed hits. This script walks the mechanics on tiny
 traces where every number can be checked by hand.
 """
 
-from delayedhits import ModelParams, lru_policy, never_cache_policy, replay, simulate
+from delayedhits import LruPolicy, ModelParams, NeverCachePolicy, replay, simulate
 
 
 def show(title, result):
@@ -24,7 +24,7 @@ def main():
     print("1. A cold burst: item 3 requested three times, delay Z = 3")
     print("=" * 72)
     params = ModelParams(num_items=3, cache_size=2, delay=3)
-    result = simulate(params, [3, 3, 3], never_cache_policy())
+    result = simulate(params, [3, 3, 3], NeverCachePolicy())
     show("cache starts as {1, 2}; item 3 misses, then rides the first fetch", result)
     print("  -> latencies 3, 2, 1: the first request pays the full delay,")
     print("     the delayed hits pay less; total = 3+2+1 = Z(Z+1)/2.")
@@ -33,14 +33,14 @@ def main():
     print("=" * 72)
     print("2. Latency classes: hit = 0, delayed hit in 1..Z-1, miss = Z")
     print("=" * 72)
-    result = simulate(params, [1, 3, 3, 0, 3], lru_policy())
+    result = simulate(params, [1, 3, 3, 0, 3], LruPolicy())
     show("request 1 hits; 3 misses, 3 is a delayed hit, then hits once cached", result)
 
     print()
     print("=" * 72)
     print("3. The trace can end while fetches are in flight")
     print("=" * 72)
-    result = simulate(ModelParams(2, 1, 5), [2], never_cache_policy())
+    result = simulate(ModelParams(2, 1, 5), [2], NeverCachePolicy())
     show("one cold request with delay 5: its latency is fixed when it misses", result)
 
     print()

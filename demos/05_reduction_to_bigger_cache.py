@@ -14,9 +14,9 @@ pointwise on random traces below.
 import random
 
 from delayedhits import (
+    FifoPolicy,
+    LruPolicy,
     ModelParams,
-    fifo_policy,
-    lru_policy,
     verify_domination,
 )
 from delayedhits.traces import random_sequence
@@ -27,7 +27,7 @@ def main():
     print("1. A trace where the request window earns its keep")
     print("=" * 72)
     seq = [0, 1, 3, 5, 2, 0, 2]
-    report = verify_domination(seq, lru_policy(), ModelParams(5, 1, 3))
+    report = verify_domination(seq, LruPolicy(), ModelParams(5, 1, 3))
     print(f"  trace: {seq}  (inner LRU, k=1, Z=3; wrapper runs with cache 4)")
     print(f"  fetch-on-hit per-request : {report.inner_per_request}  total {report.inner_total}")
     print(f"  wrapped (standard) model : {report.outer_per_request}  total {report.outer_total}")
@@ -46,7 +46,7 @@ def main():
         delay = rng.randint(1, 6)
         n = rng.randint(2, 8)
         seq = random_sequence(rng, n, rng.randint(20, 120))
-        inner = lru_policy() if rng.random() < 0.5 else fifo_policy()
+        inner = LruPolicy() if rng.random() < 0.5 else FifoPolicy()
         rep = verify_domination(seq, inner, ModelParams(n, k, delay))
         savings.append(rep.inner_total - rep.outer_total)
     print(f"  500 paired runs, zero violations (verify_domination raises on any).")
@@ -57,10 +57,10 @@ def main():
     print("=" * 72)
     print("3. Degenerate cases behave as expected")
     print("=" * 72)
-    rep = verify_domination([9], lru_policy(), ModelParams(9, 2, 4))
+    rep = verify_domination([9], LruPolicy(), ModelParams(9, 2, 4))
     print(f"  single cold request: both pay the full delay -> {rep.inner_per_request}"
           f" vs {rep.outer_per_request}")
-    rep = verify_domination([9, 9, 9], lru_policy(), ModelParams(9, 2, 3))
+    rep = verify_domination([9, 9, 9], LruPolicy(), ModelParams(9, 2, 3))
     print(f"  no hits anywhere: the models coincide -> {rep.inner_per_request}"
           f" vs {rep.outer_per_request}")
 

@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .model import ModelParams, Simulation, simulate
-from .policies import static_policy
+from .policies import StaticPolicy
 
 
 class Segment(namedtuple("Segment", "kind item rendered")):
@@ -100,7 +100,7 @@ def build_adversarial_sequence(policy, params: ModelParams, cap=None) -> Adversa
             )
 
     witness_item = min(candidates - marked)
-    witness = static_policy(candidates - {witness_item})
+    witness = StaticPolicy(candidates - {witness_item})
     opt_latency = simulate(params, trace, witness).total_latency
     if opt_latency != delay:
         raise RuntimeError(

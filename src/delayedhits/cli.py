@@ -36,7 +36,7 @@ from .model import (
 )
 from .policies import (
     DEFAULT_SEARCH_BUDGET,
-    POLICY_NAMES,
+    POLICIES,
     SearchBudgetExceeded,
     brute_force_opt,
     draw_policy,
@@ -108,7 +108,7 @@ def cmd_simulate(args):
         "per_request_latency": result.per_request_latency,
         "hit_sequence": result.hit_sequence,
         "eviction_sequence": result.eviction_sequence,
-        "miss_count": result.miss_count(),
+        "miss_count": result.hit_sequence.count(0),
     }
     return _params_dict(n, args.k, args.Z, args.model, args.policy), results, EXIT_OK
 
@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-k", type=int, default=2, help="cache capacity")
         p.add_argument("-Z", type=int, default=4, help="backing-store fetch delay")
         if policy:
-            p.add_argument("--policy", default="lru", choices=POLICY_NAMES)
+            p.add_argument("--policy", default="lru", choices=POLICIES)
             p.add_argument(
                 "--static-items",
                 default=None,

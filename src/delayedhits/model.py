@@ -116,9 +116,6 @@ class SimulationResult(namedtuple("SimulationResult", "hit_sequence per_request_
             history.append(frozenset(cache))
         return history
 
-    def miss_count(self) -> int:
-        return self.hit_sequence.count(0)
-
 
 def _hits(latencies) -> list[int]:
     """The hit bits of a run: a request is a hit exactly when it costs 0."""
@@ -222,22 +219,6 @@ class Simulation:
             if len(times) > 1:
                 self.fetch_times[returned] = times[1:]
         return returned
-
-    @property
-    def last_served(self) -> tuple[tuple[int, int], ...]:
-        """(request time, latency) of each request served at ``t``, read
-        after the retrieval phase: a miss at t0 with latency L is served at
-        t0 + L - 1, and one fetch at most returns per timestep, so these are
-        the misses among the last ``delay`` requests whose latency ends at
-        t. None ends at t if nothing returned then.
-        """
-        t = self.t
-        latency = self.per_request_latency
-        return tuple(
-            (t0, t - t0 + 1)
-            for t0 in range(max(1, t - self.params.delay + 1), min(t, len(latency)) + 1)
-            if latency[t0 - 1] == t - t0 + 1
-        )
 
     def needs_decision(self, returned) -> bool:
         return returned is not None and returned not in self.cache

@@ -195,13 +195,6 @@ class RandomEvictionPolicy(Policy):
         return self.rng.choice([0] + sorted(cache))
 
 
-# the factory names the package has always exported
-lru_policy = LruPolicy
-fifo_policy = FifoPolicy
-never_cache_policy = NeverCachePolicy
-static_policy = StaticPolicy
-belady_classical = BeladyPolicy
-
 # the CLI's policy names, in the order it lists them
 POLICIES = {
     "lru": LruPolicy,
@@ -210,14 +203,13 @@ POLICIES = {
     "static": StaticPolicy,
     "belady": BeladyPolicy,
 }
-POLICY_NAMES = tuple(POLICIES)
 
 
 def make_policy(name, sequence=None, static_items=None) -> Policy:
     """Instantiate a policy by its public name (the CLI contract)."""
     cls = POLICIES.get(name)
     if cls is None:
-        raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
+        raise ValueError(f"unknown policy {name!r}; expected one of {tuple(POLICIES)}")
     if cls is StaticPolicy:
         if static_items is None:
             raise ValueError("static policy needs a target item set")
@@ -244,8 +236,7 @@ def draw_policy(rng, sequence, k, n) -> Policy:
 # -- exhaustive offline search ------------------------------------------
 
 
-class OptResult(namedtuple("OptResult", "min_latency witness_evictions witness_hits nodes",
-                           defaults=(0,))):
+class OptResult(namedtuple("OptResult", "min_latency witness_evictions witness_hits nodes")):
     """Exact offline optimum with one canonical witness schedule; ``nodes``
     counts the decision nodes the search visited."""
 

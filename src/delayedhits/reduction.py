@@ -77,10 +77,6 @@ class ReductionPolicy(Policy):
         return min(cache - self.inner.cache.keys() - set(self.recent), default=0)
 
 
-# the factory name the package has always exported
-wrap_reduction = ReductionPolicy
-
-
 class DominationReport(namedtuple("DominationReport", "inner_per_request outer_per_request "
                                   "inner_total outer_total")):
     """Paired run of A (fetch-on-hit, cache k) and B (standard, cache k+delay)."""

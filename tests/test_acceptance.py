@@ -13,20 +13,20 @@ from fractions import Fraction
 from delayedhits import (
     ANTIMONOTONE,
     STANDARD,
+    BeladyPolicy,
+    FifoPolicy,
+    LruPolicy,
     ModelParams,
+    NeverCachePolicy,
+    StaticPolicy,
     antimonotone_latency,
-    belady_classical,
     brute_force_opt,
     build_adversarial_sequence,
     counterexample_sequence,
     delayed_hits_latency,
-    fifo_policy,
     is_hit_sequence_feasible,
-    lru_policy,
-    never_cache_policy,
     optimal_hit_sequences,
     simulate,
-    static_policy,
     verify_domination,
 )
 from delayedhits.policies import draw_policy
@@ -79,11 +79,11 @@ def test_criterion_2_burst_identity():
             for k in (1, 2, 3):
                 seq = [k + 1] * delay
                 shipped = [
-                    lru_policy(),
-                    fifo_policy(),
-                    never_cache_policy(),
-                    static_policy(range(1, k + 1)),
-                    belady_classical(seq),
+                    LruPolicy(),
+                    FifoPolicy(),
+                    NeverCachePolicy(),
+                    StaticPolicy(range(1, k + 1)),
+                    BeladyPolicy(seq),
                 ]
                 for policy in shipped:
                     run = simulate(ModelParams(k + 1, k, delay), seq, policy)
@@ -92,7 +92,7 @@ def test_criterion_2_burst_identity():
 
 def test_criterion_3_competitive_ratio_lower_bound():
     with criterion(3, "adaptive adversary certifies the k*delay ratio bound", 30):
-        for make in (lru_policy, fifo_policy):
+        for make in (LruPolicy, FifoPolicy):
             for k in range(1, 5):
                 for delay in range(2, 11):
                     params = ModelParams(k + 1, k, delay)
@@ -102,7 +102,7 @@ def test_criterion_3_competitive_ratio_lower_bound():
                     assert report.policy_latency >= floor
                     assert report.opt_latency == delay
                     assert report.ratio_lower_bound >= 1 + Fraction(k * (delay + 1), 2)
-        confirm = build_adversarial_sequence(lru_policy(), ModelParams(3, 2, 3))
+        confirm = build_adversarial_sequence(LruPolicy(), ModelParams(3, 2, 3))
         oracle = brute_force_opt(ModelParams(3, 2, 3), confirm.sequence)
         assert oracle.min_latency == 3
 
@@ -167,7 +167,7 @@ def test_criterion_6_reduction_domination():
             delay = rng.randint(1, 6)
             n = rng.randint(2, 8)
             seq = random_sequence(rng, n, rng.randint(20, 200))
-            inner = lru_policy() if rng.random() < 0.5 else fifo_policy()
+            inner = LruPolicy() if rng.random() < 0.5 else FifoPolicy()
             report = verify_domination(seq, inner, ModelParams(n, k, delay))
             assert report.outer_total <= report.inner_total
 
@@ -188,5 +188,5 @@ def test_criterion_7_delay_one_classical_collapse():
                 1 for item, bit in zip(seq, run.hit_sequence) if item and not bit
             )
             assert run.total_latency == misses
-            belady_total = simulate(params, seq, belady_classical(seq)).total_latency
+            belady_total = simulate(params, seq, BeladyPolicy(seq)).total_latency
             assert belady_total == brute_force_opt(params, seq).min_latency

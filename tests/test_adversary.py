@@ -6,19 +6,21 @@ from fractions import Fraction
 import pytest
 
 from delayedhits import (
+    FifoPolicy,
+    LruPolicy,
     ModelParams,
+    NeverCachePolicy,
+    ReductionPolicy,
     Simulation,
+    StaticPolicy,
     brute_force_opt,
     build_adversarial_sequence,
     bursty_segment,
-    fifo_policy,
-    lru_policy,
-    never_cache_policy,
     pure_segment,
+    reduction_outer_params,
     simulate,
-    static_policy,
 )
-from delayedhits.policies import draw_policy
+from delayedhits.policies import RandomEvictionPolicy, draw_policy
 
 
 def test_segment_rendering():
@@ -29,16 +31,16 @@ def test_segment_rendering():
 def test_missed_segment_costs():
     # a cold pure segment costs exactly the fetch delay
     params = ModelParams(2, 1, 4)
-    pure = simulate(params, list(pure_segment(2, 4).rendered), never_cache_policy())
+    pure = simulate(params, list(pure_segment(2, 4).rendered), NeverCachePolicy())
     assert pure.total_latency == 4 == pure_segment(2, 4).miss_cost(4)
     # a cold bursty segment costs the full triangular sum, here 10
-    burst = simulate(params, list(bursty_segment(2, 4).rendered), never_cache_policy())
+    burst = simulate(params, list(bursty_segment(2, 4).rendered), NeverCachePolicy())
     assert burst.total_latency == 10 == bursty_segment(2, 4).miss_cost(4)
 
 
 def test_hit_segment_costs_nothing():
     params = ModelParams(2, 1, 3)
-    result = simulate(params, list(bursty_segment(1, 3).rendered), never_cache_policy())
+    result = simulate(params, list(bursty_segment(1, 3).rendered), NeverCachePolicy())
     assert result.total_latency == 0
 
 
@@ -72,8 +74,9 @@ def test_segments_are_all_hit_or_all_miss():
             offset += len(seg.rendered)
 
 
+# the ids keep the test names these cases have always had
 @pytest.mark.parametrize(
-    "make_policy_fn", [lru_policy, fifo_policy], ids=["lru_policy", "fifo_policy"]
+    "make_policy_fn", [LruPolicy, FifoPolicy], ids=["lru_policy", "fifo_policy"]
 )
 @pytest.mark.parametrize("k,delay", [(1, 2), (2, 3), (3, 4), (4, 6)])
 def test_marking_terminates_for_caching_policies(make_policy_fn, k, delay):
@@ -87,21 +90,57 @@ def test_marking_terminates_for_caching_policies(make_policy_fn, k, delay):
     assert report.ratio_lower_bound == 1 + Fraction(k * (delay + 1), 2)
 
 
+def _family_case(family, rng):
+    """(params, policy) for one deterministic policy of ``family``; the
+    k+Z wrapper runs under its outer parameters, cache K = k + Z."""
+    k, delay = rng.randint(1, 3), rng.randint(2, 5)
+    if family == "reduction":
+        inner = ModelParams(k + delay + rng.choice((1, 3)), k, delay)
+        inner_policy = rng.choice((LruPolicy, FifoPolicy))()
+        return reduction_outer_params(inner), ReductionPolicy(inner_policy, inner)
+    n = k + rng.randint(1, 3)
+    if family == "random":
+        return ModelParams(n, k, delay), RandomEvictionPolicy(rng.randrange(2**30))
+    targets = rng.sample(range(1, n + 1), rng.randint(1, k))
+    return ModelParams(n, k, delay), StaticPolicy(targets)
+
+
+@pytest.mark.parametrize("family", ["reduction", "random", "static"])
+def test_bound_holds_against_every_deterministic_family(family):
+    # the bound is for any deterministic online policy: 80 seeded cases a family
+    rng = random.Random(11)
+    for _ in range(80):
+        params, policy = _family_case(family, rng)
+        K, delay = params.cache_size, params.delay
+        report = build_adversarial_sequence(policy, params)
+        assert brute_force_opt(params, report.sequence).min_latency == delay
+        assert report.opt_latency == delay
+        bursts = report.bursty_count
+        assert report.ratio_lower_bound == 1 + Fraction(bursts * (delay + 1), 2)
+        if not report.capped:
+            assert report.ratio_lower_bound >= 1 + Fraction(K * (delay + 1), 2)
+        if family == "reduction":
+            # the wrapper keeps cycling through items 1..k+1, so it is never
+            # marked out: every report runs to the default cap of 10K bursts
+            assert report.capped and bursts == 10 * K
+            assert report.marked <= set(range(1, K - delay + 2))
+
+
 def test_lru_at_spec_point():
-    report = build_adversarial_sequence(lru_policy(), ModelParams(3, 2, 3))
+    report = build_adversarial_sequence(LruPolicy(), ModelParams(3, 2, 3))
     assert report.policy_latency == 15
     assert report.opt_latency == 3
     assert report.ratio_lower_bound == 5
 
 
 def test_exhaustive_opt_confirms_witness():
-    report = build_adversarial_sequence(lru_policy(), ModelParams(3, 2, 3))
+    report = build_adversarial_sequence(LruPolicy(), ModelParams(3, 2, 3))
     assert brute_force_opt(ModelParams(3, 2, 3), report.sequence).min_latency == 3
 
 
 def test_never_cache_hits_the_cap():
     params = ModelParams(4, 3, 3)
-    report = build_adversarial_sequence(never_cache_policy(), params, cap=5)
+    report = build_adversarial_sequence(NeverCachePolicy(), params, cap=5)
     assert report.capped
     assert report.bursty_count == 5
     assert report.marked == frozenset({4})
@@ -112,24 +151,24 @@ def test_never_cache_hits_the_cap():
 def test_static_policy_can_be_attacked_too():
     # holding {1, 2} forever behaves like never-cache for the construction
     params = ModelParams(3, 2, 2)
-    report = build_adversarial_sequence(static_policy({1, 2}), params, cap=3)
+    report = build_adversarial_sequence(StaticPolicy({1, 2}), params, cap=3)
     assert report.capped
     assert report.bursty_count == 3
 
 
 def test_report_latency_matches_rerun():
-    report = build_adversarial_sequence(fifo_policy(), ModelParams(4, 3, 4))
-    rerun = simulate(ModelParams(4, 3, 4), report.sequence, fifo_policy())
+    report = build_adversarial_sequence(FifoPolicy(), ModelParams(4, 3, 4))
+    rerun = simulate(ModelParams(4, 3, 4), report.sequence, FifoPolicy())
     assert rerun.total_latency == report.policy_latency
 
 
 def test_universe_must_have_a_spare_item():
     with pytest.raises(ValueError):
-        build_adversarial_sequence(lru_policy(), ModelParams(2, 2, 3))
+        build_adversarial_sequence(LruPolicy(), ModelParams(2, 2, 3))
 
 
 def test_witness_item_is_never_bursted():
-    report = build_adversarial_sequence(lru_policy(), ModelParams(5, 4, 2))
+    report = build_adversarial_sequence(LruPolicy(), ModelParams(5, 4, 2))
     bursted = {seg.item for seg in report.segments if seg.kind == "bursty"}
     assert report.opt_witness_item not in bursted
 
@@ -148,12 +187,12 @@ def test_construction_steps_one_run_forward(monkeypatch):
         return request_phase(self, item)
 
     monkeypatch.setattr(Simulation, "request_phase", counting)
-    report = build_adversarial_sequence(lru_policy(), ModelParams(11, 10, 16))
+    report = build_adversarial_sequence(LruPolicy(), ModelParams(11, 10, 16))
     assert len(report.sequence) == 513
     assert calls <= 2000
 
 
-class CachesFromSecondReset(lru_policy):
+class CachesFromSecondReset(LruPolicy):
     """Declines every caching chance until its second reset, then is LRU:
     it does not replay its own run, which the construction must notice."""
 

@@ -15,9 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from delayedhits import InfeasibleEvictionError, VerificationError, cli, policies
+from delayedhits import InfeasibleEvictionError, ReductionPolicy, VerificationError, cli, policies
 from delayedhits.cli import main
-from delayedhits.reduction import ReductionPolicy
 from delayedhits.traces import random_sequence, read_trace
 
 

@@ -10,8 +10,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayedhits import ANTIMONOTONE, STANDARD, ModelParams, simulate, verify_domination
-from delayedhits.policies import LruPolicy
+from delayedhits import ANTIMONOTONE, STANDARD, LruPolicy, ModelParams, simulate, verify_domination
 from delayedhits.traces import draw_instance, random_sequence
 
 

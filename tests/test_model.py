@@ -7,15 +7,12 @@ import pytest
 
 from delayedhits import (
     ANTIMONOTONE,
-    STANDARD,
     InfeasibleEvictionError,
+    LruPolicy,
     ModelParams,
+    NeverCachePolicy,
     Simulation,
-    antimonotone_latency,
-    delayed_hits_latency,
-    lru_policy,
     make_policy,
-    never_cache_policy,
     replay,
     simulate,
 )
@@ -26,19 +23,19 @@ from delayedhits.traces import draw_instance
 @pytest.mark.parametrize("delay", range(1, 11))
 def test_cold_burst_costs_triangular_sum(delay):
     params = ModelParams(3, 2, delay)
-    result = simulate(params, [3] * delay, lru_policy())
+    result = simulate(params, [3] * delay, LruPolicy())
     assert result.total_latency == delay * (delay + 1) // 2
 
 
 def test_burst_latencies_count_down():
-    result = simulate(ModelParams(3, 2, 3), [3, 3, 3], never_cache_policy())
+    result = simulate(ModelParams(3, 2, 3), [3, 3, 3], NeverCachePolicy())
     assert result.per_request_latency == [3, 2, 1]
     assert result.hit_sequence == [0, 0, 0]
 
 
 def test_hit_is_free_and_leaves_state_alone():
     params = ModelParams(2, 2, 4)
-    result = simulate(params, [1], lru_policy())
+    result = simulate(params, [1], LruPolicy())
     assert result.total_latency == 0
     assert result.hit_sequence == [1]
     assert result.cache_history == [frozenset({1, 2})] * 2
@@ -46,7 +43,7 @@ def test_hit_is_free_and_leaves_state_alone():
 
 def test_everything_resident_never_misses():
     params = ModelParams(5, 3, 4)
-    result = simulate(params, [1, 2, 3, 2, 1], lru_policy())
+    result = simulate(params, [1, 2, 3, 2, 1], LruPolicy())
     assert result.total_latency == 0
 
 
@@ -63,14 +60,14 @@ def test_replay_swaps_cache_at_retrieval():
 
 
 def test_idle_slots_cost_nothing():
-    result = simulate(ModelParams(3, 1, 4), [0, 0, 0], lru_policy())
+    result = simulate(ModelParams(3, 1, 4), [0, 0, 0], LruPolicy())
     assert result.total_latency == 0
     assert result.hit_sequence == [1, 1, 1]
 
 
-def test_trailing_fetch_is_drained():
+def test_fetch_returning_past_the_end_costs_full_delay():
     # the only request returns well past the end of the trace
-    result = simulate(ModelParams(2, 1, 5), [2], never_cache_policy())
+    result = simulate(ModelParams(2, 1, 5), [2], NeverCachePolicy())
     assert result.per_request_latency == [5]
     assert len(result.cache_history) == 2
 
@@ -112,7 +109,7 @@ def test_replay_length_mismatch():
 
 def test_sequence_validation():
     with pytest.raises(ValueError):
-        simulate(ModelParams(2, 1, 1), [3], lru_policy())
+        simulate(ModelParams(2, 1, 1), [3], LruPolicy())
 
 
 def test_request_phase_rejects_item_outside_universe():
@@ -173,7 +170,7 @@ def test_cache_stays_exactly_full():
     rng = random.Random(41)
     for _ in range(25):
         k, delay, n, seq = draw_instance(rng)
-        result = simulate(ModelParams(n, k, delay), seq, lru_policy())
+        result = simulate(ModelParams(n, k, delay), seq, LruPolicy())
         assert all(len(state) == k for state in result.cache_history)
 
 
@@ -206,56 +203,8 @@ def test_fetch_on_hit_never_slower_under_same_schedule():
             assert fast <= slow
 
 
-@pytest.mark.parametrize("mode", [STANDARD, ANTIMONOTONE])
-def test_last_served_matches_request_times_past_the_end(mode):
-    """``last_served`` is derived from the latencies alone; check it against
-    a queue of the misses still waiting, through retrieval phases that
-    this test runs itself after the trace has ended."""
-    rng = random.Random(31)
-    past_end = 0
-    for _ in range(60):
-        k, delay, n, seq = draw_instance(rng, max_length=30, max_delay=9)
-        # misses near the end leave fetches in flight past it
-        seq += [rng.randint(1, n) for _ in range(3)]
-        params = ModelParams(n, k, delay, mode)
-        policy = RandomEvictionPolicy(rng.randrange(2**30))
-        policy.reset(params)
-        sim = Simulation(params)
-        waiting, served = [], []
-
-        def check(returned):
-            t = sim.t
-            expected = tuple((t0, t - t0 + 1) for it, t0 in waiting if it == returned)
-            assert sim.last_served == expected
-            waiting[:] = [(it, t0) for it, t0 in waiting if it != returned]
-            served.extend(expected)
-            return len(expected)
-
-        for item in seq:
-            hit = sim.request_phase(item)
-            if hit is False:
-                waiting.append((item, sim.t))
-            policy.observe(sim.t, item, hit)
-            returned = sim.retrieval_serve()
-            check(returned)
-            if sim.needs_decision(returned):
-                sim.apply_eviction(
-                    returned, policy.choose_eviction(sim.t, returned, sim.cache.keys())
-                )
-        while sim.fetches:
-            sim.t += 1
-            past_end += check(sim.retrieval_serve())
-        assert not waiting
-        closed_form = (
-            antimonotone_latency if mode == ANTIMONOTONE else delayed_hits_latency
-        )
-        _, per = closed_form(seq, delay, sim.result().hit_sequence)
-        assert sorted(served) == [(t0, lat) for t0, lat in enumerate(per, 1) if lat]
-    assert past_end > 0
-
-
 def test_empty_trace():
-    result = simulate(ModelParams(2, 1, 3), [], lru_policy())
+    result = simulate(ModelParams(2, 1, 3), [], LruPolicy())
     assert result.total_latency == 0
     assert result.cache_history == [frozenset({1})]
 

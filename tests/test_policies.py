@@ -4,57 +4,58 @@ import random
 
 import pytest
 
+import delayedhits
 from delayedhits import (
+    BeladyPolicy,
+    FifoPolicy,
+    LruPolicy,
     ModelParams,
+    NeverCachePolicy,
     Simulation,
-    belady_classical,
+    StaticPolicy,
     brute_force_opt,
     counterexample_sequence,
-    fifo_policy,
     is_hit_sequence_feasible,
-    lru_policy,
     make_policy,
-    never_cache_policy,
     optimal_hit_sequences,
     replay,
     simulate,
-    static_policy,
 )
-from delayedhits.policies import BeladyPolicy, SearchBudgetExceeded, draw_policy
+from delayedhits.policies import POLICIES, SearchBudgetExceeded, draw_policy
 from delayedhits.traces import draw_instance
 
 
 def test_lru_evicts_least_recently_requested():
     # 1 was just requested, so 2 goes when 3 arrives
-    result = simulate(ModelParams(3, 2, 1), [1, 3], lru_policy())
+    result = simulate(ModelParams(3, 2, 1), [1, 3], LruPolicy())
     assert result.eviction_sequence == [0, 2]
 
 
 def test_lru_tie_breaks_to_smaller_id():
-    result = simulate(ModelParams(3, 2, 1), [3], lru_policy())
+    result = simulate(ModelParams(3, 2, 1), [3], LruPolicy())
     assert result.eviction_sequence == [1]
 
 
 def test_fifo_evicts_in_initial_order():
-    result = simulate(ModelParams(4, 2, 1), [3, 4], fifo_policy())
+    result = simulate(ModelParams(4, 2, 1), [3, 4], FifoPolicy())
     assert result.eviction_sequence == [1, 2]
 
 
 def test_fifo_cycles_through_insertions():
-    result = simulate(ModelParams(4, 2, 1), [3, 4, 1, 3], fifo_policy())
+    result = simulate(ModelParams(4, 2, 1), [3, 4, 1, 3], FifoPolicy())
     # queue: (1,2) -> (2,3) -> (3,4) -> (4,1) -> (1,3); 3 misses again at t=4
     assert result.eviction_sequence == [1, 2, 3, 4]
     assert result.cache_history[-1] == frozenset({1, 3})
 
 
 def test_never_cache_keeps_initial_cache():
-    result = simulate(ModelParams(4, 2, 2), [3, 4, 3], never_cache_policy())
+    result = simulate(ModelParams(4, 2, 2), [3, 4, 3], NeverCachePolicy())
     assert set(result.cache_history) == {frozenset({1, 2})}
 
 
 def test_static_policy_converges_then_freezes():
     params = ModelParams(3, 2, 2)
-    result = simulate(params, [3, 0, 0, 3, 1], static_policy({1, 3}))
+    result = simulate(params, [3, 0, 0, 3, 1], StaticPolicy({1, 3}))
     # 3 returns at t=2's retrieval and replaces the only non-target item 2
     assert result.eviction_sequence[1] == 2
     assert result.cache_history[-1] == frozenset({1, 3})
@@ -63,23 +64,23 @@ def test_static_policy_converges_then_freezes():
 
 def test_static_policy_validates_size():
     with pytest.raises(ValueError):
-        simulate(ModelParams(3, 1, 1), [2], static_policy({1, 2}))
+        simulate(ModelParams(3, 1, 1), [2], StaticPolicy({1, 2}))
 
 
 def test_static_policy_rejects_nonpositive_items():
     with pytest.raises(ValueError, match="static target items must be positive"):
-        static_policy([0, 2])
+        StaticPolicy([0, 2])
 
 
 def test_belady_declines_item_never_used_again():
     # future holds 2 then 1; incoming 3 is never reused, so it is not cached
-    result = simulate(ModelParams(3, 2, 1), [3, 2, 1], belady_classical([3, 2, 1]))
+    result = simulate(ModelParams(3, 2, 1), [3, 2, 1], BeladyPolicy([3, 2, 1]))
     assert result.eviction_sequence == [0, 0, 0]
     assert result.total_latency == 1
 
 
 def test_belady_empty_future_evicts_smallest():
-    result = simulate(ModelParams(3, 2, 1), [3], belady_classical([3]))
+    result = simulate(ModelParams(3, 2, 1), [3], BeladyPolicy([3]))
     assert result.eviction_sequence == [1]
 
 
@@ -93,11 +94,15 @@ def test_belady_is_optimal_at_delay_one():
             for _ in range(rng.randint(1, 14))
         ]
         params = ModelParams(n, k, 1)
-        mine = simulate(params, seq, belady_classical(seq)).total_latency
+        mine = simulate(params, seq, BeladyPolicy(seq)).total_latency
         assert mine == brute_force_opt(params, seq).min_latency
 
 
 def test_make_policy_names():
+    # the registry's classes are the package's exported classes, named alike
+    for name, cls in POLICIES.items():
+        assert cls is getattr(delayedhits, cls.__name__)
+        assert cls.name == name
     for name in ("lru", "fifo", "never"):
         assert make_policy(name).name == name
     assert make_policy("static", static_items=[1]).name == "static"
@@ -175,7 +180,7 @@ def test_lru_within_k_times_demand_opt_at_delay_one():
             continue
         # the bypassing optimum can only be cheaper
         assert brute_force_opt(params, seq).min_latency <= demand_opt
-        assert simulate(params, seq, lru_policy()).total_latency <= k * demand_opt
+        assert simulate(params, seq, LruPolicy()).total_latency <= k * demand_opt
         checked += 1
 
 

@@ -6,41 +6,40 @@ import pytest
 
 from delayedhits import (
     ANTIMONOTONE,
+    FifoPolicy,
+    LruPolicy,
     ModelParams,
-    fifo_policy,
-    lru_policy,
-    never_cache_policy,
+    NeverCachePolicy,
+    ReductionPolicy,
     reduction_outer_params,
     simulate,
     verify_domination,
-    wrap_reduction,
 )
 from delayedhits.policies import RandomEvictionPolicy
-from delayedhits.reduction import ReductionPolicy
 from delayedhits.traces import random_sequence
 
 
 def test_single_cold_request_costs_delay_in_both():
-    report = verify_domination([9], lru_policy(), ModelParams(9, 2, 4))
+    report = verify_domination([9], LruPolicy(), ModelParams(9, 2, 4))
     assert report.inner_per_request == [4]
     assert report.outer_per_request == [4]
 
 
 def test_all_resident_trace_is_free_for_the_wrapper():
-    report = verify_domination([1, 2, 1], lru_policy(), ModelParams(4, 2, 3))
+    report = verify_domination([1, 2, 1], LruPolicy(), ModelParams(4, 2, 3))
     assert report.outer_total == 0
 
 
 def test_no_hits_means_identical_latencies():
     # item 9 is outside even the enlarged cache, so fetch-on-hit never fires
-    report = verify_domination([9, 9, 9], lru_policy(), ModelParams(9, 2, 3))
+    report = verify_domination([9, 9, 9], LruPolicy(), ModelParams(9, 2, 3))
     assert report.inner_per_request == report.outer_per_request == [3, 2, 1]
 
 
 def test_interpretation_regression_instance():
     # protecting only *returned* items (instead of recently requested ones)
     # evicts item 2 at t=6 here and loses at t=7; the shipped wrapper must not
-    report = verify_domination([0, 1, 3, 5, 2, 0, 2], lru_policy(), ModelParams(5, 1, 3))
+    report = verify_domination([0, 1, 3, 5, 2, 0, 2], LruPolicy(), ModelParams(5, 1, 3))
     assert report.outer_per_request[6] <= 1
 
 
@@ -50,7 +49,7 @@ def test_domination_on_the_extra_hit_trace():
 
     for delay, k in ((5, 1), (6, 2)):
         cspec = counterexample_sequence(delay, k)
-        for make in (lru_policy, fifo_policy):
+        for make in (LruPolicy, FifoPolicy):
             report = verify_domination(
                 list(cspec.sequence), make(), ModelParams(k + 2, k, delay)
             )
@@ -81,7 +80,7 @@ def test_domination_sweep(monkeypatch, wide):
         else:
             n = rng.randint(2, 8)
             seq = random_sequence(rng, n, rng.randint(1, 60))
-        inner = lru_policy() if rng.random() < 0.5 else fifo_policy()
+        inner = LruPolicy() if rng.random() < 0.5 else FifoPolicy()
         before = decisions
         report = verify_domination(seq, inner, ModelParams(n, k, delay))
         assert report.outer_total <= report.inner_total
@@ -95,11 +94,11 @@ def test_outer_cache_is_exactly_k_plus_delay():
     outer = reduction_outer_params(inner_params)
     assert outer.cache_size == 6
     seq = random_sequence(random.Random(3), 6, 40)
-    run = simulate(outer, seq, wrap_reduction(lru_policy(), inner_params))
+    run = simulate(outer, seq, ReductionPolicy(LruPolicy(), inner_params))
     assert all(len(state) == 6 for state in run.cache_history)
 
 
-@pytest.mark.parametrize("make", [lru_policy, fifo_policy], ids=["lru", "fifo"])
+@pytest.mark.parametrize("make", [LruPolicy, FifoPolicy], ids=["lru", "fifo"])
 @pytest.mark.parametrize("wide", [True, False], ids=["n>k+Z", "n<=k+Z"])
 def test_shadow_run_equals_an_independent_inner_run(make, wide):
     # verify_domination reports the wrapper's lockstep shadow as A's run;
@@ -111,7 +110,7 @@ def test_shadow_run_equals_an_independent_inner_run(make, wide):
         n = k + delay + rng.randint(1, 6) if wide else rng.randint(2, k + delay)
         seq = random_sequence(rng, n, rng.randint(1, 80))
         inner_params = ModelParams(n, k, delay)
-        wrapped = wrap_reduction(make(), inner_params)
+        wrapped = ReductionPolicy(make(), inner_params)
         simulate(reduction_outer_params(inner_params), seq, wrapped)
         shadow = wrapped.inner.result()
         alone = simulate(ModelParams(n, k, delay, ANTIMONOTONE), seq, make())
@@ -133,7 +132,7 @@ class CheckedReduction:
     name = "reduction"
 
     def __init__(self, inner_policy, inner_params):
-        self.wrapped = wrap_reduction(inner_policy, inner_params)
+        self.wrapped = ReductionPolicy(inner_policy, inner_params)
         self.delay = inner_params.delay
         self.decisions = 0
 
@@ -158,9 +157,9 @@ class CheckedReduction:
 def test_victim_matches_the_all_items_rule():
     rng = random.Random(1212)
     inner_policies = {
-        "lru": lru_policy,
-        "fifo": fifo_policy,
-        "never": never_cache_policy,
+        "lru": LruPolicy,
+        "fifo": FifoPolicy,
+        "never": NeverCachePolicy,
         "random": lambda: RandomEvictionPolicy(rng.randrange(2**30)),
     }
     decisions = dict.fromkeys(inner_policies, 0)
@@ -179,7 +178,7 @@ def test_victim_matches_the_all_items_rule():
 
 def test_wrapper_validates_outer_params():
     inner_params = ModelParams(5, 2, 3)
-    wrapped = wrap_reduction(lru_policy(), inner_params)
+    wrapped = ReductionPolicy(LruPolicy(), inner_params)
     with pytest.raises(ValueError):
         simulate(ModelParams(5, 2, 3), [1], wrapped)          # wrong capacity
     with pytest.raises(ValueError):

@@ -76,6 +76,21 @@ def test_star_import_binds_each_public_name_to_its_defining_modules_object():
     assert homes["build_adversarial_sequence"] == "delayedhits.adversary"
     assert homes["CounterexampleSpec"] == "delayedhits.counterexample"
     assert homes["simulate"] == "delayedhits.model"
+    # each policy class is in __all__ once, under its class name
+    policies = {
+        name: home for name, home in homes.items()
+        if isinstance(value := getattr(delayedhits, name), type)
+        and issubclass(value, delayedhits.Policy)
+    }
+    assert policies == {
+        "BeladyPolicy": "delayedhits.policies",
+        "FifoPolicy": "delayedhits.policies",
+        "LruPolicy": "delayedhits.policies",
+        "NeverCachePolicy": "delayedhits.policies",
+        "Policy": "delayedhits.policies",
+        "ReductionPolicy": "delayedhits.reduction",
+        "StaticPolicy": "delayedhits.policies",
+    }
 
 
 def test_a_construction_submodule_resolves_after_a_bare_import():
