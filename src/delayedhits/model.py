@@ -146,13 +146,13 @@ def validate_sequence(params: ModelParams, sequence) -> None:
 
 
 class Simulation:
-    """The delayed-hits state machine, advanced one phase at a time.
+    """The delayed-hits state machine, advanced one timestep at a time.
 
-    ``step`` runs a full timestep and returns the item that came back;
-    :func:`simulate`, :func:`replay` and the model reduction's shadow run
-    all drive it. The split ``request_phase`` / ``retrieval_serve`` /
-    ``apply_eviction`` entry points exist for the exhaustive searches,
-    which pause at eviction decisions and branch.
+    ``step`` is its one transition: it runs a full timestep and returns
+    the item that came back. :func:`simulate` and the model reduction's
+    shadow run hand it a policy; :func:`replay` and the exhaustive
+    searches step without one, so the run pauses at each return and they
+    decide through ``apply_eviction``, the searches branching there.
 
     Every structure is keyed by item or by time and holds only what is in
     flight, so one request costs O(1) amortised work and a run holds O(T)
@@ -174,51 +174,6 @@ class Simulation:
         # latency of every request so far, exact, not a bound: a miss's serving
         # fetch (the earliest same-item one then in flight) is fixed when it misses
         self.committed = 0
-
-    # -- request phase -------------------------------------------------
-
-    def request_phase(self, item: int) -> bool | None:
-        """Advance the clock and take in the next request (0 = idle).
-
-        A miss's latency is fixed here: the earliest same-item fetch in
-        flight, its own fetch included, is the one that will serve it.
-        """
-        params = self.params
-        if not 0 <= item <= params.num_items:
-            raise ValueError(f"item {item} outside 0..{params.num_items}")
-        self.t = t = self.t + 1
-        if item == 0:
-            # idle slots never cost anything, so they read as hits
-            self.per_request_latency.append(0)
-            return None
-        hit = item in self.cache
-        if hit:
-            self.per_request_latency.append(0)
-            if params.mode != ANTIMONOTONE:
-                return True
-        # dispatch; one request per timestep, so the return slot is free
-        return_time = t + params.delay - 1
-        self.fetches[return_time] = item
-        times = self.fetch_times.get(item, ()) + (return_time,)
-        self.fetch_times[item] = times
-        if hit:
-            return True
-        latency = times[0] - t + 1
-        self.per_request_latency.append(latency)
-        self.committed += latency
-        return False
-
-    # -- retrieval phase -----------------------------------------------
-
-    def retrieval_serve(self) -> int | None:
-        """Return the fetch due now (if any), which serves the requests
-        waiting for it; their latencies were fixed when they missed."""
-        returned = self.fetches.pop(self.t, None)
-        if returned is not None:
-            times = self.fetch_times.pop(returned)
-            if len(times) > 1:
-                self.fetch_times[returned] = times[1:]
-        return returned
 
     def needs_decision(self, returned) -> bool:
         return returned is not None and returned not in self.cache
@@ -242,20 +197,48 @@ class Simulation:
         self.evictions = (self.t, eviction, returned, self.evictions)
         assert len(self.cache) == self.params.cache_size
 
-    # -- drivers ---------------------------------------------------------
-
     def step(self, item: int, policy=None) -> int | None:
-        """Run one full timestep, consulting ``policy`` at a decision point,
-        and return the item that came back (None if nothing did)."""
-        if policy is None:
-            self.request_phase(item)
-            return self.retrieval_serve()
-        hit = self.request_phase(item)
-        policy.observe(self.t, item, hit)
-        returned = self.retrieval_serve()
-        if self.needs_decision(returned):
-            evicted = policy.choose_eviction(self.t, returned, self.cache.keys())
-            self.apply_eviction(returned, evicted)
+        """Run one timestep and return the item that came back (None if
+        nothing did).
+
+        The request phase advances the clock and takes in ``item`` (0 =
+        idle). A miss's latency is fixed here: the earliest same-item fetch
+        in flight, its own fetch included, is the one that will serve it.
+        ``policy`` then observes the request. The retrieval phase returns
+        the fetch due now, which serves the requests waiting for it. If
+        the returned item is not resident, ``policy`` chooses the eviction;
+        without a policy the run pauses there and the caller decides
+        through :meth:`apply_eviction`.
+        """
+        params = self.params
+        if not 0 <= item <= params.num_items:
+            raise ValueError(f"item {item} outside 0..{params.num_items}")
+        self.t = t = self.t + 1
+        # hit is None at an idle slot, which costs nothing, as a hit does
+        hit = item in self.cache if item else None
+        if hit is not False:
+            self.per_request_latency.append(0)
+        if hit is False or (hit and params.mode == ANTIMONOTONE):
+            # dispatch; one request per timestep, so the return slot is free
+            return_time = t + params.delay - 1
+            self.fetches[return_time] = item
+            times = self.fetch_times.get(item, ()) + (return_time,)
+            self.fetch_times[item] = times
+            if not hit:
+                latency = times[0] - t + 1
+                self.per_request_latency.append(latency)
+                self.committed += latency
+        if policy is not None:
+            policy.observe(t, item, hit)
+        returned = self.fetches.pop(t, None)
+        if returned is not None:
+            times = self.fetch_times.pop(returned)
+            if len(times) > 1:
+                self.fetch_times[returned] = times[1:]
+            if policy is not None and returned not in self.cache:
+                self.apply_eviction(
+                    returned, policy.choose_eviction(t, returned, self.cache.keys())
+                )
         return returned
 
     # -- search support --------------------------------------------------

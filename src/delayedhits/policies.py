@@ -322,10 +322,9 @@ def _search(params, sequence, node_budget, cut, target=None):
         nonlocal best
         while sim.t < len(sequence):
             pos = sim.t
-            sim.request_phase(sequence[pos])
+            returned = sim.step(sequence[pos])
             if target is not None and (sim.per_request_latency[pos] == 0) != target[pos]:
                 return None
-            returned = sim.retrieval_serve()
             if sim.needs_decision(returned):
                 return returned
         # a run the cut lets through beats every run before it, or ties under >

@@ -175,18 +175,19 @@ def test_witness_item_is_never_bursted():
 
 def test_construction_steps_one_run_forward(monkeypatch):
     """The trace is built from one run stepped a segment at a time, not by
-    re-simulating every prefix. Counted in request phases: 3516 with a
-    re-run per segment at k=10, Z=16; now 1491, the build's run up to the
-    last segment plus the policy's and the witness's full runs."""
+    re-simulating every prefix. Counted in timesteps (``Simulation.step``
+    calls): 3516 with a re-run per segment at k=10, Z=16; now 1491, the
+    build's run up to the last segment plus the policy's and the witness's
+    full runs."""
     calls = 0
-    request_phase = Simulation.request_phase
+    step = Simulation.step
 
-    def counting(self, item):
+    def counting(self, item, policy=None):
         nonlocal calls
         calls += 1
-        return request_phase(self, item)
+        return step(self, item, policy)
 
-    monkeypatch.setattr(Simulation, "request_phase", counting)
+    monkeypatch.setattr(Simulation, "step", counting)
     report = build_adversarial_sequence(LruPolicy(), ModelParams(11, 10, 16))
     assert len(report.sequence) == 513
     assert calls <= 2000

@@ -129,19 +129,19 @@ def test_feasibility_search_cuts_pinned_evictions_early(monkeypatch):
     """A wrong eviction of an item the baseline hits must be cut when it is
     made, not thousands of steps later when the item's block arrives.
 
-    Counted in request phases, not seconds or decision nodes: the cut
-    leaves the decision nodes as they were and shortens the runs between
-    them. Without it this search makes 722 840 request phases; with it,
-    76 156."""
+    Counted in timesteps (``Simulation.step`` calls), not seconds or
+    decision nodes: the cut leaves the decision nodes as they were and
+    shortens the runs between them. Without it this search makes 722 840
+    steps; with it, 76 156."""
     calls = 0
-    request_phase = Simulation.request_phase
+    step = Simulation.step
 
-    def counting(self, item):
+    def counting(self, item, policy=None):
         nonlocal calls
         calls += 1
-        return request_phase(self, item)
+        return step(self, item, policy)
 
-    monkeypatch.setattr(Simulation, "request_phase", counting)
+    monkeypatch.setattr(Simulation, "step", counting)
     cspec = counterexample_sequence(60, 20)
     feasible, witness = is_hit_sequence_feasible(
         cspec.params(), list(cspec.sequence), list(cspec.baseline_bits)

@@ -7,17 +7,21 @@ import pytest
 
 from delayedhits import (
     ANTIMONOTONE,
+    STANDARD,
+    FifoPolicy,
     InfeasibleEvictionError,
     LruPolicy,
     ModelParams,
     NeverCachePolicy,
+    ReductionPolicy,
     Simulation,
     make_policy,
+    reduction_outer_params,
     replay,
     simulate,
 )
-from delayedhits.policies import RandomEvictionPolicy, draw_policy
-from delayedhits.traces import draw_instance
+from delayedhits.policies import POLICIES, RandomEvictionPolicy, draw_policy
+from delayedhits.traces import draw_instance, random_sequence
 
 
 @pytest.mark.parametrize("delay", range(1, 11))
@@ -112,9 +116,67 @@ def test_sequence_validation():
         simulate(ModelParams(2, 1, 1), [3], LruPolicy())
 
 
-def test_request_phase_rejects_item_outside_universe():
+def test_step_rejects_item_outside_universe():
     with pytest.raises(ValueError, match=r"^item 4 outside 0\.\.3$"):
-        Simulation(ModelParams(3, 1, 1)).request_phase(4)
+        Simulation(ModelParams(3, 1, 1)).step(4)
+
+
+def _paused_run(params, sequence, policy):
+    """``simulate``'s run rebuilt from paused steps: the caller shows the
+    policy each request and takes its decision at each return."""
+    policy.reset(params)
+    sim = Simulation(params)
+    decisions = 0
+    for item in sequence:
+        hit = item in sim.cache if item else None
+        returned = sim.step(item)
+        policy.observe(sim.t, item, hit)
+        if sim.needs_decision(returned):
+            decisions += 1
+            victim = policy.choose_eviction(sim.t, returned, sim.cache.keys())
+            sim.apply_eviction(returned, victim)
+    return sim, decisions
+
+
+def _every_policy(rng, params, sequence):
+    """(params, sequence, factory) for each policy: every registry entry,
+    static with random targets, a seeded random policy, and the k+Z wrapper
+    around lru or fifo on a universe wide enough for it to decide."""
+    n, k = params.num_items, params.cache_size
+    targets = rng.sample(range(1, n + 1), rng.randint(1, min(k, n)))
+    cases = [(params, sequence, lambda name=name: make_policy(name, sequence, targets))
+             for name in POLICIES]
+    seed = rng.randrange(2**30)
+    cases.append((params, sequence, lambda: RandomEvictionPolicy(seed)))
+    k, delay = rng.randint(1, 3), rng.randint(1, 4)
+    inner = ModelParams(rng.randint(k + delay + 1, 8), k, delay)
+    inner_cls = rng.choice((LruPolicy, FifoPolicy))
+    cases.append((reduction_outer_params(inner),
+                  random_sequence(rng, inner.num_items, len(sequence)),
+                  lambda: ReductionPolicy(inner_cls(), inner)))
+    return cases
+
+
+@pytest.mark.parametrize("mode", [STANDARD, ANTIMONOTONE])
+def test_policy_inside_step_equals_paused_step_and_outside_decision(mode):
+    """``step(item, policy)`` must equal ``step(item)`` followed by the
+    caller's ``observe`` and, at ``needs_decision``, ``choose_eviction``
+    and ``apply_eviction``: ``replay`` and the searches rely on it."""
+    rng = random.Random(53)
+    decisions = 0
+    for _ in range(300):
+        k, delay, n, seq = draw_instance(rng, max_length=40, max_cache=4, max_delay=6)
+        for params, sequence, policy in _every_policy(rng, ModelParams(n, k, delay, mode), seq):
+            inside = simulate(params, sequence, policy())
+            sim, taken = _paused_run(params, sequence, policy())
+            decisions += taken
+            assert sim.committed == inside.total_latency
+            assert set(sim.cache) == inside.cache_history[-1]
+            outside = sim.result()
+            assert outside.per_request_latency == inside.per_request_latency
+            assert outside.eviction_sequence == inside.eviction_sequence
+            assert outside.insertions == inside.insertions
+    assert decisions > 10_000
 
 
 @pytest.mark.parametrize(

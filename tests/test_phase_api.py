@@ -1,7 +1,7 @@
-"""Stateful test of the split phase API against a naive reference model.
+"""Stateful test of the paused step API against a naive reference model.
 
-Hypothesis drives ``request_phase`` / ``retrieval_serve`` /
-``apply_eviction`` with random requests and random feasible and
+Hypothesis drives ``step`` without a policy, then ``needs_decision`` and
+``apply_eviction``, with random requests and random feasible and
 infeasible evictions. The test keeps its own model of the run: a plain
 list of queued (item, request time) pairs, a return-time -> item map of
 fetches, and one cache snapshot per step. After every step it checks the
@@ -51,20 +51,17 @@ class PhaseMachine(RuleBasedStateMachine):
         self.sequence.append(item)
         t = len(self.sequence)
 
-        hit = self.sim.request_phase(item)
+        returned = self.sim.step(item)
         # latencies fix the hit bits: a hit or idle slot costs 0, a miss at least 1
         latency = self.sim.per_request_latency[-1]
-        assert (latency == 0) if hit in (None, True) else (latency >= 1)
-        if item == 0:
-            assert hit is None
-        else:
-            assert hit == (item in self.cache)
+        assert (latency == 0) == (item == 0 or item in self.cache)
+        if item != 0:
+            hit = item in self.cache
             if not hit:
                 self.queued.append((item, t))
             if not hit or self.params.mode == ANTIMONOTONE:
                 self._dispatch(item, t)
 
-        returned = self.sim.retrieval_serve()
         assert returned == self.fetches.pop(t, None)
         served = tuple((t0, t - t0 + 1) for it, t0 in self.queued if it == returned)
         self.charged += sum(latency for _, latency in served)

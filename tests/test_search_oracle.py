@@ -41,8 +41,7 @@ def every_schedule(params, sequence):
     def run_on(sim):
         nonlocal decisions
         while sim.t < len(sequence):
-            sim.request_phase(sequence[sim.t])
-            returned = sim.retrieval_serve()
+            returned = sim.step(sequence[sim.t])
             if sim.needs_decision(returned):
                 decisions += 1
                 for choice in [0, *sorted(sim.cache)]:
@@ -135,9 +134,9 @@ def test_forced_latency_bound_is_admissible(instance, seed):
     policy.reset(params)
     bounds = [forced(sim)]
     for item in sequence:
-        hit = sim.request_phase(item)
+        hit = item in sim.cache if item else None
+        returned = sim.step(item)
         policy.observe(sim.t, item, hit)
-        returned = sim.retrieval_serve()
         if sim.needs_decision(returned):
             choice = policy.choose_eviction(sim.t, returned, sim.cache.keys())
             sim.apply_eviction(returned, choice)
@@ -166,9 +165,9 @@ def test_branch_keys_and_bounds_match_a_cloned_eviction():
         policy.reset(params)
         sim = Simulation(params)
         for item in sequence:
-            hit = sim.request_phase(item)
+            hit = item in sim.cache if item else None
+            returned = sim.step(item)
             policy.observe(sim.t, item, hit)
-            returned = sim.retrieval_serve()
             if not sim.needs_decision(returned):
                 continue
             decisions += 1
@@ -204,17 +203,16 @@ def test_a_choice_commits_no_more_than_its_bound_before_the_next_decision():
         policy.reset(params)
         sim = Simulation(params)
         for item in sequence:
-            hit = sim.request_phase(item)
+            hit = item in sim.cache if item else None
+            returned = sim.step(item)
             policy.observe(sim.t, item, hit)
-            returned = sim.retrieval_serve()
             if not sim.needs_decision(returned):
                 continue
             for choice, _, bound in _branches(sim, returned, terms):
                 taken = sim.clone()
                 taken.apply_eviction(returned, choice)
                 while taken.t < len(sequence):
-                    taken.request_phase(sequence[taken.t])
-                    if taken.needs_decision(taken.retrieval_serve()):
+                    if taken.needs_decision(taken.step(sequence[taken.t])):
                         break
                 assert taken.committed <= bound
                 checked += 1
