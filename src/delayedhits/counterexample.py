@@ -13,8 +13,10 @@ is immune: there the extra hit never increases latency.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 
+from . import policies
 from .model import ModelParams, VerificationError
 from .latency import delayed_hits_latency, antimonotone_latency, dominates
 from .policies import (
@@ -22,7 +24,6 @@ from .policies import (
     SearchBudgetExceeded,
     brute_force_opt,
     is_hit_sequence_feasible,
-    optimal_hit_sequences,
 )
 
 
@@ -144,11 +145,21 @@ def verify_nonantimonotonicity(
 
     First the claims that need no search: the one-bit domination
     structure, the exact latency gap and the immunity of the fetch-on-hit
-    model. Then the searches, in order: the feasibility of each vector
-    and, with ``check_optimal``, the optimum and the set of optima, which
-    must be the baseline alone. A search that overruns ``node_budget``
-    raises :class:`SearchBudgetExceeded` as ``"<step> search: <message>"``,
-    with the partial report as ``exc.report``.
+    model. Then the claims that need a search, in order: the feasibility
+    of each vector and, with ``check_optimal``, the optimum and the set of
+    optima, which must be the baseline alone.
+
+    With ``check_optimal`` the set-of-optima search runs first. When its
+    total is the baseline latency and its set is exactly the baseline,
+    that one search settles the baseline's feasibility (its schedule for
+    the baseline is the feasibility search's first witness), the optimum
+    and uniqueness, so only the extra-hit feasibility search runs after
+    it. Otherwise the remaining searches run in the order above, the
+    optimum search only if the set-of-optima search overran; that overrun
+    is raised at the unique-optimum step. Each search runs at most once.
+    A search that overruns ``node_budget`` raises
+    :class:`SearchBudgetExceeded` as ``"<step> search: <message>"``, with
+    the partial report as ``exc.report``.
     """
     seq, delay = list(cspec.sequence), cspec.delay
     b, b_hi = list(cspec.baseline_bits), list(cspec.extra_hit_bits)
@@ -184,11 +195,21 @@ def verify_nonantimonotonicity(
         fetch_on_hit_extra=anti_high,
     )
     params = cspec.params()
+    baseline = tuple(b)
+    optimum = optima = overrun = None
+    if check_optimal:
+        try:
+            optimum, optima, _ = policies._search(params, seq, node_budget, operator.gt)
+        except SearchBudgetExceeded as exc:
+            overrun = exc
     step = "baseline feasibility"
     try:
-        ok, witness = is_hit_sequence_feasible(params, seq, b, node_budget)
-        if not ok:
-            raise VerificationError("baseline hit sequence is not feasible")
+        if optimum == low and optima.keys() == {baseline}:
+            witness = optima[baseline]
+        else:
+            ok, witness = is_hit_sequence_feasible(params, seq, b, node_budget)
+            if not ok:
+                raise VerificationError("baseline hit sequence is not feasible")
         report = report._replace(baseline_witness=witness)
         step = "extra-hit feasibility"
         ok, witness = is_hit_sequence_feasible(params, seq, b_hi, node_budget)
@@ -198,15 +219,17 @@ def verify_nonantimonotonicity(
         if not check_optimal:
             return report
         step = "optimum"
-        opt_latency = brute_force_opt(params, seq, node_budget).min_latency
-        if opt_latency != low:
+        if overrun is not None:
+            optimum = brute_force_opt(params, seq, node_budget).min_latency
+        if optimum != low:
             raise VerificationError(
-                f"exhaustive optimum {opt_latency} != baseline latency {low}"
+                f"exhaustive optimum {optimum} != baseline latency {low}"
             )
-        report = report._replace(opt_latency=opt_latency)
+        report = report._replace(opt_latency=optimum)
         step = "unique-optimum"
-        _, optima = optimal_hit_sequences(params, seq, node_budget)
-        if optima != {tuple(b)}:
+        if overrun is not None:
+            raise overrun
+        if optima.keys() != {baseline}:
             raise VerificationError(
                 f"baseline is not the unique optimal hit sequence; found {len(optima)}"
             )

@@ -168,9 +168,23 @@ def test_counterexample_report(capsys):
     assert "search_error" not in results
 
 
-def test_counterexample_budget_overrun_runs_each_search_once(capsys, monkeypatch):
-    # two feasibility searches, then the optimum, then the set of optima,
-    # which overruns 40 nodes; the report keeps what was already verified
+@pytest.mark.parametrize(
+    "budget,calls,error,optimum_found",
+    [
+        (None, [operator.gt, None], None, True),
+        ("5", [operator.gt, None], "baseline feasibility", False),
+        ("30", [operator.gt, None, None, operator.ge], "optimum", False),
+        ("40", [operator.gt, None, None, operator.ge], "unique-optimum", True),
+    ],
+    ids=["default", "budget-5", "budget-30", "budget-40"],
+)
+def test_counterexample_budget_overrun_runs_each_search_once(
+    capsys, monkeypatch, budget, calls, error, optimum_found
+):
+    # the set of optima runs first; when it settles the baseline, only the
+    # extra-hit feasibility search follows. When it overruns (46 nodes),
+    # the other searches run in order, the optimum search (ge) last; the
+    # report keeps what was already verified
     searches = []
     real_search = policies._search
 
@@ -179,20 +193,21 @@ def test_counterexample_budget_overrun_runs_each_search_once(capsys, monkeypatch
         return real_search(*args, **kwargs)
 
     monkeypatch.setattr(policies, "_search", counting)
+    budget_args = [] if budget is None else ["--search-budget", budget]
     code, report = run_cli(
-        capsys, "counterexample", "-Z", "26", "-k", "7", "--oracle-check",
-        "--search-budget", "40",
+        capsys, "counterexample", "-Z", "26", "-k", "7", "--oracle-check", *budget_args
     )
-    assert code == 4
-    assert searches == [None, None, operator.ge, operator.gt]
+    assert searches == calls
+    assert code == (0 if error is None else 4)
     results = report["results"]
-    assert results["opt_latency"] == results["baseline_latency"]
-    assert results["opt_unique"] is None
-    assert results["gap"] == results["predicted_gap"]
-    assert results["baseline_witness"] and results["extra_hit_witness"]
-    assert results["search_error"] == (
-        "unique-optimum search: instance too large: more than 40 decision nodes"
+    assert results.get("search_error") == (
+        error and f"{error} search: instance too large: more than {budget} decision nodes"
     )
+    assert (results["opt_latency"] == results["baseline_latency"]) is optimum_found
+    assert results["opt_unique"] is (True if error is None else None)
+    assert results["gap"] == results["predicted_gap"]
+    witnesses = bool(results["baseline_witness"] and results["extra_hit_witness"])
+    assert witnesses is (error != "baseline feasibility")
 
 
 @pytest.mark.parametrize(
@@ -507,6 +522,30 @@ def _seeded_trace(path, seed, num_items, length):
 def test_report_bytes_are_pinned(tmp_path, capsys, argv, digest):
     trace = _seeded_trace(tmp_path / "t.txt", 2024, 40, 2000)
     assert main([trace if arg == "TRACE" else arg for arg in argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the certificate at (26, 7) whole and cut at each of its three overrun
+# steps, and a larger one; the verifier's search order must keep them all
+@pytest.mark.parametrize(
+    "argv,code,digest",
+    [
+        (["-Z", "26", "-k", "7"], 0,
+         "cdd5f4cc34580e29a8d848b2277028d5c18855b379fc328847acdbea1d4d8cd7"),
+        (["-Z", "26", "-k", "7", "--search-budget", "5"], 4,
+         "1a8894a65c1aa6140d7c9bb743fbaa77d5f29d4430143afa7a6e82f2431ba2c8"),
+        (["-Z", "26", "-k", "7", "--search-budget", "30"], 4,
+         "fcf0d90de15b3fc7b3080c9779480aff4dfc05e6fe157b72cb829c6fc938137c"),
+        (["-Z", "26", "-k", "7", "--search-budget", "40"], 4,
+         "ec25801cc439c1e9b0b7524634dce579d4716362daa954ea94acbb62588d9d6f"),
+        (["-Z", "60", "-k", "20"], 0,
+         "d349ff107f195ed69cafdda27d7bd13cb3012dd383ebf7544bd4e95f31c91ca6"),
+    ],
+    ids=["26-7", "26-7-budget-5", "26-7-budget-30", "26-7-budget-40", "60-20"],
+)
+def test_counterexample_report_bytes_are_pinned(capsys, argv, code, digest):
+    assert main(["counterexample", *argv, "--oracle-check"]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

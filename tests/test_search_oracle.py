@@ -6,8 +6,10 @@ residents in ascending order). The canonical witnesses are therefore the
 first matching schedules in the oracle's list.
 """
 
+import operator
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,9 +21,10 @@ from delayedhits import (
     brute_force_opt,
     is_hit_sequence_feasible,
     optimal_hit_sequences,
+    replay,
 )
 from delayedhits.latency import normalize_hit_bits
-from delayedhits.policies import RandomEvictionPolicy, _branches, _forced_terms
+from delayedhits.policies import RandomEvictionPolicy, _branches, _forced_terms, _search
 from delayedhits.traces import random_sequence
 
 
@@ -219,3 +222,29 @@ def test_a_choice_commits_no_more_than_its_bound_before_the_next_decision():
             victim = policy.choose_eviction(sim.t, returned, sim.cache.keys())
             sim.apply_eviction(returned, victim)
     assert checked > 2000
+
+
+@pytest.mark.parametrize("mode", [STANDARD, ANTIMONOTONE])
+def test_each_optimum_keeps_the_feasibility_searchs_witness(mode):
+    """The set-of-optima search keeps, for each optimal hit vector, the
+    first schedule in branch order that realizes it: the very witness the
+    feasibility search returns. The counterexample verifier relies on this
+    when it takes the baseline's witness from the set of optima. On seeded
+    instances, every vector of every set must have that witness, replay to
+    itself and cost the optimum."""
+    rng = random.Random(19)
+    vectors = 0
+    for _ in range(500):
+        k = rng.randint(1, 3)
+        n = k + rng.randint(1, 6 - k)
+        params = ModelParams(n, k, rng.randint(1, 6), mode)
+        sequence = random_sequence(rng, n, rng.randint(1, 30))
+        total, optima, _ = _search(params, sequence, 2**22, operator.gt)
+        assert total == brute_force_opt(params, sequence).min_latency
+        for hits, evictions in optima.items():
+            assert is_hit_sequence_feasible(params, sequence, list(hits)) == (True, evictions)
+            result = replay(params, sequence, evictions)
+            assert tuple(result.hit_sequence) == hits
+            assert result.total_latency == total
+            vectors += 1
+    assert vectors > 1000
