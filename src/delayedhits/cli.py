@@ -94,6 +94,9 @@ def _policy_for(args, n, sequence=None):
                 raise ValueError(
                     f"--static-items must name items in 1..{n}, got {args.static_items!r}"
                 )
+    elif args.static_items is not None:
+        # a target set that no policy reads would be ignored without a word
+        raise ValueError(f"--static-items needs --policy static, got --policy {args.policy}")
     return make_policy(args.policy, sequence=sequence, static_items=static_items)
 
 

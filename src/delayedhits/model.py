@@ -123,14 +123,19 @@ def _hits(latencies) -> list[int]:
 
 
 def _unchain(chain, steps) -> tuple[list[int], list[int]]:
-    """(evictions of ``steps`` timesteps, items cached in order) of a chain."""
+    """(evictions of ``steps`` timesteps, items cached in order) of a chain
+    of frozen logs, each ``(log, earlier)``: its segments are walked oldest
+    first, and each log gives its times, victims and items as slices."""
+    segments = []
+    while chain is not None:
+        log, chain = chain
+        segments.append(log)
     evictions = [0] * steps
     insertions = []
-    while chain is not None:
-        t, victim, item, chain = chain
-        evictions[t - 1] = victim
-        insertions.append(item)
-    insertions.reverse()
+    for log in reversed(segments):
+        for t, victim in zip(log[::3], log[1::3]):
+            evictions[t - 1] = victim
+        insertions += log[2::3]
     return evictions, insertions
 
 
@@ -157,7 +162,10 @@ class Simulation:
     Every structure is keyed by item or by time and holds only what is in
     flight, so one request costs O(1) amortised work and a run holds O(T)
     memory whatever the item ids are: one latency per step, which gives
-    its hit bit, and one link per eviction.
+    its hit bit, and three list slots per eviction. The evictions since
+    the last :meth:`clone` (or read of ``evictions``) sit in ``log``, a
+    flat list the run owns; the earlier ones sit in ``frozen``, a chain of
+    frozen logs that clones share.
     """
 
     def __init__(self, params: ModelParams):
@@ -170,7 +178,8 @@ class Simulation:
         self.fetches = {}      # return time -> item; one dispatch per timestep
         self.fetch_times = {}  # item -> return times of its fetches in flight
         self.per_request_latency = []  # a hit costs 0, a miss at least 1
-        self.evictions = None  # (t, victim, item cached, earlier) chain, shared by clones
+        self.log = []        # t, victim, item cached: three slots per eviction
+        self.frozen = None   # (log, earlier) chain of frozen logs, shared by clones
         # latency of every request so far, exact, not a bound: a miss's serving
         # fetch (the earliest same-item one then in flight) is fixed when it misses
         self.committed = 0
@@ -194,7 +203,7 @@ class Simulation:
             raise InfeasibleEvictionError(self.t, eviction)
         del self.cache[eviction]
         self.cache[returned] = None
-        self.evictions = (self.t, eviction, returned, self.evictions)
+        self.log.extend((self.t, eviction, returned))
         assert len(self.cache) == self.params.cache_size
 
     def step(self, item: int, policy=None) -> int | None:
@@ -243,9 +252,22 @@ class Simulation:
 
     # -- search support --------------------------------------------------
 
+    @property
+    def evictions(self):
+        """The run's evictions as a chain of frozen logs, newest first.
+
+        Reading it freezes ``log`` into the chain, so the run starts a
+        fresh list and the chain returned never changes afterwards."""
+        if self.log:
+            self.frozen = (self.log, self.frozen)
+            self.log = []
+        return self.frozen
+
     def clone(self) -> "Simulation":
         """An independent copy: the cache, the fetches in flight and the
-        latency list are copied; the eviction chain is shared."""
+        latency list are copied. The eviction log is frozen into the chain,
+        which both runs share, and each goes on with a fresh log, so the
+        clone costs nothing per eviction."""
         twin = object.__new__(Simulation)
         twin.params = self.params
         twin.t = self.t
@@ -253,7 +275,8 @@ class Simulation:
         twin.fetches = self.fetches.copy()
         twin.fetch_times = self.fetch_times.copy()
         twin.per_request_latency = self.per_request_latency[:]
-        twin.evictions = self.evictions
+        twin.frozen = self.evictions
+        twin.log = []
         twin.committed = self.committed
         return twin
 

@@ -681,10 +681,16 @@ def _wrong_optimum(real):
          None, None, 2, "--static-items must name items in 1..3, got '7'"),
         (["simulate", "TRACE", "--policy", "static", "--static-items", "1,x"],
          None, None, 2, "expected comma-separated integers, got '1,x'"),
+        # a target set for another policy would be ignored
+        (["simulate", "TRACE", "--policy", "lru", "--static-items", "x,y"],
+         None, None, 2, "--static-items needs --policy static, got --policy lru"),
+        (["adversary", "--policy", "fifo", "-k", "2", "-Z", "3", "--static-items", "99"],
+         None, None, 2, "--static-items needs --policy static, got --policy fifo"),
     ],
     ids=["trace", "value", "universe", "infeasible", "budget", "verification",
          "out", "trace-out", "static-above-n", "static-above-inferred-n", "static-empty",
-         "static-empty-string", "static-adversary", "static-not-integers"],
+         "static-empty-string", "static-adversary", "static-not-integers",
+         "static-items-without-static", "static-items-adversary-fifo"],
 )
 def test_main_maps_each_error_to_its_exit_code(
     tmp_path, capsys, monkeypatch, argv, target, patch, code, message

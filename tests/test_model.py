@@ -286,3 +286,76 @@ def test_huge_sparse_ids_allocate_nothing_per_id(policy):
         tracemalloc.stop()
     assert huge in run.cache_history[-1] or huge in run.eviction_sequence
     assert peak < 1_000_000
+
+
+def _step_and_record(rng, sim, sequence, record):
+    """Step ``sim`` once, taking a random feasible eviction or a decline at
+    a decision, and note in ``record``, this run's (evictions, insertions,
+    cache history), what was applied."""
+    evictions, insertions, history = record
+    cache = set(history[-1])
+    returned = sim.step(sequence[sim.t])
+    victim = 0
+    if sim.needs_decision(returned):
+        victim = rng.choice([0, *sorted(cache)])
+        sim.apply_eviction(returned, victim)
+    if victim:
+        cache.remove(victim)
+        cache.add(returned)
+        insertions.append(returned)
+    evictions.append(victim)
+    history.append(frozenset(cache))
+
+
+@pytest.mark.parametrize("mode", [STANDARD, ANTIMONOTONE])
+def test_clones_share_no_later_eviction(mode):
+    """A clone shares the evictions made before it and none made after.
+    Paused runs are cloned at random steps, and the original and its twins
+    are stepped on, interleaved, with their own random choices; each run's
+    result holds exactly the schedule it applied and equals ``replay`` of
+    its own eviction sequence."""
+    rng = random.Random(59)
+    both_evict_after_a_clone = 0
+    for _ in range(200):
+        k, delay, n, seq = draw_instance(rng, max_length=60, max_cache=4, max_delay=6)
+        params = ModelParams(n, k, delay, mode)
+        # each run: [simulation, its rng, its record, evictions since its clone]
+        runs = [[Simulation(params), random.Random(rng.random()),
+                 ([], [], [params.initial_cache()]), 0]]
+        while True:
+            live = [run for run in runs if run[0].t < len(seq)]
+            if not live:
+                break
+            run = rng.choice(live)
+            sim, own_rng, record, _ = run
+            if len(runs) < 4 and rng.random() < 0.05:
+                twin_record = tuple(part[:] for part in record)
+                runs.append([sim.clone(), random.Random(rng.random()), twin_record, 0])
+                run[3] = 0
+                continue
+            _step_and_record(own_rng, sim, seq, record)
+            run[3] += record[0][-1] != 0
+        if len(runs) > 1 and runs[0][3] and runs[-1][3]:
+            both_evict_after_a_clone += 1
+        for sim, _, (evictions, insertions, history), _ in runs:
+            result = sim.result()
+            assert result.eviction_sequence == evictions
+            assert result.insertions == insertions
+            assert result.cache_history == history
+            assert replay(params, seq, result.eviction_sequence) == result
+    assert both_evict_after_a_clone > 50
+
+
+def test_simulate_holds_three_slots_per_eviction():
+    """A run keeps its evictions in one flat list: at this shape about two
+    thirds of the steps evict, and a linked record per eviction peaks at
+    about 2.0 MB, where the flat list peaks at about 1.4 MB."""
+    seq = random_sequence(random.Random(1), 1000, 20_000, 0.25)
+    params = ModelParams(1000, 100, 20)
+    tracemalloc.start()
+    try:
+        simulate(params, seq, make_policy("lru"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_700_000
