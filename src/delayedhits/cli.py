@@ -42,7 +42,7 @@ from .policies import (
     draw_policy,
     make_policy,
 )
-from .reduction import verify_domination
+from .reduction import reduction_outer_params, verify_domination
 from .traces import (
     TraceError,
     draw_instance,
@@ -84,12 +84,16 @@ def _parse_items(text) -> list[int]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _policy_for(args, n, sequence=None):
+def _policy_for(args, params, sequence=None):
+    """The ``--policy`` that ``args`` name, for a run under ``params``: the static
+    target defaults to its initial cache, and ``--static-items`` must name items
+    of its universe."""
     static_items = None
     if args.policy == "static":
-        static_items = range(1, args.k + 1)
+        static_items = params.initial_cache()
         if args.static_items is not None:
             static_items = _parse_items(args.static_items)
+            n = params.num_items
             if not static_items or max(static_items) > n:
                 raise ValueError(
                     f"--static-items must name items in 1..{n}, got {args.static_items!r}"
@@ -104,7 +108,7 @@ def cmd_simulate(args):
     sequence = read_trace(args.trace)
     n = args.n if args.n is not None else infer_num_items(sequence)
     params = ModelParams(n, args.k, args.Z, args.model)
-    result = simulate(params, sequence, _policy_for(args, n, sequence=sequence))
+    result = simulate(params, sequence, _policy_for(args, params, sequence=sequence))
     results = {
         "trace_length": len(sequence),
         "total_latency": result.total_latency,
@@ -113,7 +117,7 @@ def cmd_simulate(args):
         "eviction_sequence": result.eviction_sequence,
         "miss_count": result.hit_sequence.count(0),
     }
-    return _params_dict(n, args.k, args.Z, args.model, args.policy), results, EXIT_OK
+    return _params_dict(params, args.policy), results, EXIT_OK
 
 
 def _check_search_budget(args):
@@ -127,10 +131,9 @@ def cmd_adversary(args):
 
     n = args.n if args.n is not None else args.k + 1
     params = ModelParams(n, args.k, args.Z)
-    if args.policy == "belady":
-        raise ValueError("the adversary targets online policies; belady is offline")
     _check_search_budget(args)
-    report = build_adversarial_sequence(_policy_for(args, n), params, cap=args.cap)
+    # built without the trace, so belady, which needs it, is refused
+    report = build_adversarial_sequence(_policy_for(args, params), params, cap=args.cap)
     if args.trace_out:
         write_trace(args.trace_out, report.sequence)
     results = {
@@ -163,7 +166,7 @@ def cmd_adversary(args):
                     f"exhaustive optimum {results['oracle_opt']} != "
                     f"witnessed optimum {report.opt_latency}"
                 )
-    return _params_dict(n, args.k, args.Z, STANDARD, args.policy), results, code
+    return _params_dict(params, args.policy), results, code
 
 
 def cmd_counterexample(args):
@@ -179,45 +182,34 @@ def cmd_counterexample(args):
     except SearchBudgetExceeded as exc:
         code, error, report = EXIT_BUDGET, str(exc), exc.report
     results = {
+        **report._asdict(),
         "sequence": list(cspec.sequence),
         "baseline_bits": list(cspec.baseline_bits),
         "extra_hit_bits": list(cspec.extra_hit_bits),
         "burst_len": cspec.burst_len,
-        "baseline_latency": report.baseline_latency,
-        "extra_hit_latency": report.extra_hit_latency,
-        "gap": report.gap,
         "predicted_gap": cspec.predicted_gap,
-        "baseline_witness": report.baseline_witness,
-        "extra_hit_witness": report.extra_hit_witness,
-        "fetch_on_hit_baseline": report.fetch_on_hit_baseline,
-        "fetch_on_hit_extra": report.fetch_on_hit_extra,
-        "opt_latency": report.opt_latency,
-        "opt_unique": report.opt_unique,
     }
     if error is not None:
         # only an overrun report carries it, like adversary's oracle_error
         results["search_error"] = error
-    return _params_dict(cspec.cache_size + 2, args.k, args.Z, STANDARD), results, code
+    return _params_dict(cspec.params()), results, code
 
 
 def cmd_reduce(args):
     sequence = read_trace(args.trace)
     n = args.n if args.n is not None else infer_num_items(sequence)
-    inner_params = ModelParams(n, args.k, args.Z, ANTIMONOTONE)
-    report_params = _params_dict(n, args.k, args.Z, ANTIMONOTONE, args.policy)
-    policy = _policy_for(args, n, sequence=sequence)
+    params = ModelParams(n, args.k, args.Z, ANTIMONOTONE)
+    report_params = _params_dict(params, args.policy)
+    policy = _policy_for(args, params, sequence=sequence)
     try:
-        report = verify_domination(sequence, policy, inner_params)
+        report = verify_domination(sequence, policy, params)
     except VerificationError as exc:
         results = {"dominates": False, "violation": str(exc)}
         return report_params, results, EXIT_VIOLATION
     results = {
+        **report._asdict(),
         "dominates": True,
-        "inner_total": report.inner_total,
-        "outer_total": report.outer_total,
-        "inner_per_request": report.inner_per_request,
-        "outer_per_request": report.outer_per_request,
-        "outer_cache_size": args.k + args.Z,
+        "outer_cache_size": reduction_outer_params(params).cache_size,
     }
     return report_params, results, EXIT_OK
 
@@ -367,7 +359,13 @@ def cmd_check(args):
     return _params_dict(seed=args.seed), results, EXIT_VIOLATION if failures else EXIT_OK
 
 
-def _params_dict(n=None, k=None, delay=None, mode=None, policy=None, seed=None):
+def _params_dict(params=None, policy=None, seed=None):
+    """The envelope's ``params``: n, k, Z and the mode read off the
+    :class:`ModelParams` the command ran (None for ``check``, which runs
+    many), the policy name and the sweep's seed."""
+    n = k = delay = mode = None
+    if params is not None:
+        n, k, delay, mode = params.num_items, params.cache_size, params.delay, params.mode
     return {"n": n, "k": k, "Z": delay, "mode": mode, "policy": policy, "seed": seed}
 
 
@@ -390,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--static-items",
                 default=None,
-                help="comma-separated target set for --policy static (default 1..k)",
+                help="comma-separated target set for --policy static (default 1..min(k, n))",
             )
         p.add_argument("--out", default=None, help="write the JSON report here")
 

@@ -88,8 +88,9 @@ class ModelParams:
         return type(self), self._key()
 
     def initial_cache(self) -> frozenset[int]:
-        # by convention the cache starts holding items 1..cache_size
-        return frozenset(range(1, self.cache_size + 1))
+        # by convention the cache starts holding items 1..cache_size, and a
+        # cache larger than the universe holds no item outside it
+        return frozenset(range(1, min(self.cache_size, self.num_items) + 1))
 
 
 class SimulationResult(namedtuple("SimulationResult", "hit_sequence per_request_latency "
@@ -115,11 +116,6 @@ class SimulationResult(namedtuple("SimulationResult", "hit_sequence per_request_
                 cache.add(next(inserted))
             history.append(frozenset(cache))
         return history
-
-
-def _hits(latencies) -> list[int]:
-    """The hit bits of a run: a request is a hit exactly when it costs 0."""
-    return [0 if latency else 1 for latency in latencies]
 
 
 def _unchain(chain, steps) -> tuple[list[int], list[int]]:
@@ -163,9 +159,10 @@ class Simulation:
     flight, so one request costs O(1) amortised work and a run holds O(T)
     memory whatever the item ids are: one latency per step, which gives
     its hit bit, and three list slots per eviction. The evictions since
-    the last :meth:`clone` (or read of ``evictions``) sit in ``log``, a
-    flat list the run owns; the earlier ones sit in ``frozen``, a chain of
-    frozen logs that clones share.
+    the last :meth:`clone` sit in ``log``, a flat list the run owns; the
+    earlier ones sit in ``frozen``, a chain of frozen logs that clones
+    share. Only :meth:`clone` and :meth:`result` read the log; the result
+    gives it out as the eviction sequence and the items cached.
     """
 
     def __init__(self, params: ModelParams):
@@ -252,12 +249,9 @@ class Simulation:
 
     # -- search support --------------------------------------------------
 
-    @property
-    def evictions(self):
-        """The run's evictions as a chain of frozen logs, newest first.
-
-        Reading it freezes ``log`` into the chain, so the run starts a
-        fresh list and the chain returned never changes afterwards."""
+    def _evictions(self):
+        """The run's evictions as a chain of frozen logs, newest first: ``log``
+        is frozen into it, so the chain returned never changes afterwards."""
         if self.log:
             self.frozen = (self.log, self.frozen)
             self.log = []
@@ -275,7 +269,7 @@ class Simulation:
         twin.fetches = self.fetches.copy()
         twin.fetch_times = self.fetch_times.copy()
         twin.per_request_latency = self.per_request_latency[:]
-        twin.frozen = self.evictions
+        twin.frozen = self._evictions()
         twin.log = []
         twin.committed = self.committed
         return twin
@@ -291,9 +285,10 @@ class Simulation:
         latency = self.per_request_latency
         total = sum(latency)
         assert total == self.committed
-        evictions, insertions = _unchain(self.evictions, len(latency))
+        evictions, insertions = _unchain(self._evictions(), len(latency))
         return SimulationResult(
-            hit_sequence=_hits(latency),
+            # a request is a hit exactly when it costs 0
+            hit_sequence=[0 if cost else 1 for cost in latency],
             per_request_latency=latency,
             eviction_sequence=evictions,
             total_latency=total,

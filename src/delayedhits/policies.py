@@ -36,7 +36,7 @@ from collections import namedtuple
 from collections.abc import Set as AbstractSet
 from itertools import accumulate
 
-from .model import ModelParams, Simulation, _hits, _unchain, validate_sequence
+from .model import ModelParams, Simulation, validate_sequence
 from .latency import normalize_hit_bits
 from .traces import request_times
 
@@ -331,8 +331,9 @@ def _search(params, sequence, node_budget, cut, target=None):
         if sim.committed < best:
             best = sim.committed
             optima.clear()
-        # latencies map one to one to hit bits, and are converted only on return
-        optima.setdefault(tuple(sim.per_request_latency), sim.evictions)
+        # latencies map one to one to hit bits; the run has ended and only
+        # the search holds it, so the optima returned take over its lists
+        optima.setdefault(tuple(sim.per_request_latency), sim)
         return None
 
     def survivors(sim, returned):
@@ -384,8 +385,8 @@ def _search(params, sequence, node_budget, cut, target=None):
         choices = survivors(sim, returned)
         if choices:
             stack.append((sim, returned, choices))
-    hits = {tuple(_hits(key)): _unchain(chain, len(key))[0] for key, chain in optima.items()}
-    return best, hits, nodes
+    runs = [run.result() for run in optima.values()]
+    return best, {tuple(run.hit_sequence): run.eviction_sequence for run in runs}, nodes
 
 
 def brute_force_opt(params, sequence, node_budget=DEFAULT_SEARCH_BUDGET) -> OptResult:

@@ -56,14 +56,13 @@ class ReductionPolicy(Policy):
         self.inner_params = ModelParams(n, k, delay, ANTIMONOTONE)
 
     def reset(self, params):
+        """Start a run under ``params``, which must be exactly
+        :func:`reduction_outer_params` of the inner parameters: the same
+        universe and delay, capacity k + delay, the standard model."""
         inner = self.inner_params
-        if params.cache_size != inner.cache_size + inner.delay:
-            raise ValueError(
-                f"outer cache size {params.cache_size} != inner {inner.cache_size} "
-                f"+ delay {inner.delay}"
-            )
-        if params.delay != inner.delay:
-            raise ValueError("outer and inner delay must match")
+        expected = reduction_outer_params(inner)
+        if params != expected:
+            raise ValueError(f"the wrapper runs under {expected!r}, got {params!r}")
         self.inner_policy.reset(inner)
         self.inner = Simulation(inner)
         self.recent = deque(maxlen=inner.delay)

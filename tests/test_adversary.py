@@ -20,6 +20,7 @@ from delayedhits import (
     reduction_outer_params,
     simulate,
 )
+from delayedhits import adversary
 from delayedhits.policies import RandomEvictionPolicy, draw_policy
 
 
@@ -215,3 +216,11 @@ def test_a_policy_that_does_not_replay_is_caught():
     # from a fresh reset sees LRU, which hits in the built trace
     with pytest.raises(RuntimeError, match="adversary contract violated"):
         build_adversarial_sequence(CachesFromSecondReset(), ModelParams(4, 3, 3), cap=4)
+
+
+def test_a_witness_that_misses_more_than_once_is_caught(monkeypatch):
+    # against a policy that never caches, the trace bursts item k + 1 and
+    # the witness must cache it; one that never caches misses every burst
+    monkeypatch.setattr(adversary, "StaticPolicy", lambda items: NeverCachePolicy())
+    with pytest.raises(RuntimeError, match="^static witness achieved 15, expected exactly 3$"):
+        build_adversarial_sequence(NeverCachePolicy(), ModelParams(3, 2, 3), cap=2)

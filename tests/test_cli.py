@@ -154,7 +154,9 @@ def test_adversary_budget_gives_partial_report(capsys):
 
 
 def test_adversary_rejects_offline_policy(capsys):
+    # the construction has no trace to give belady before it builds one
     assert main(["adversary", "--policy", "belady"]) == 2
+    assert capsys.readouterr().err == "error: belady is offline and needs the full trace\n"
 
 
 def test_counterexample_report(capsys):
@@ -514,10 +516,18 @@ def _seeded_trace(path, seed, num_items, length):
         # a universe above k + 1, so the adversary has an item it never requests
         (["adversary", "--policy", "fifo", "-n", "6", "-k", "3", "-Z", "5", "--oracle-check"],
          "67e1bef1c4129fa7d8feb990059841be5f25311f81e1de3436655a6090a6c1da"),
+        # the static target defaults to the initial cache
+        (["simulate", "TRACE", "-n", "40", "-k", "6", "-Z", "9", "--policy", "static"],
+         "c2ac145ac558f3946ad9ec9f465e1bfc3aced1735d49f97789185195eddfee99"),
+        (["reduce", "TRACE", "-n", "40", "-k", "6", "-Z", "9", "--policy", "static"],
+         "130856953068c7a2e87808d4c0035e2aea862078cff1c6bb78140925f446f50c"),
+        (["adversary", "--policy", "static", "-k", "3", "-Z", "5", "--oracle-check"],
+         "d68936f3bbdfcdb9e8d04d1b019b3f63d9ef09839eb65a4ff480311f94ea765f"),
     ],
     ids=["simulate-lru", "simulate-fifo", "counterexample", "adversary", "check",
          "reduce-lru", "reduce-fifo", "reduce-belady", "simulate-antimonotone",
-         "adversary-wide-universe"],
+         "adversary-wide-universe", "simulate-static", "reduce-static",
+         "adversary-static"],
 )
 def test_report_bytes_are_pinned(tmp_path, capsys, argv, digest):
     trace = _seeded_trace(tmp_path / "t.txt", 2024, 40, 2000)
@@ -836,6 +846,14 @@ def test_pooled_failing_sweep_equals_in_process_sweep(
     assert pooled[3] == 0 and alone[3] > 0
     first = json.loads(alone[1])["results"]["first_failure"]
     assert first is not None and json.loads(pooled[1])["results"]["first_failure"] == first
+
+
+@pytest.mark.parametrize("count,usable", [(3, 3), (None, 1)])
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch, count, usable):
+    # without an affinity call every CPU counts, and one when that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert cli._usable_cpus() == usable
 
 
 def test_sweep_runs_in_process_while_another_thread_runs(capsys, monkeypatch):

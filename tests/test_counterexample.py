@@ -17,6 +17,7 @@ from delayedhits import (
     replay,
     verify_nonantimonotonicity,
 )
+from delayedhits import counterexample
 from delayedhits.model import Simulation, VerificationError
 
 
@@ -189,6 +190,8 @@ def test_small_delay_rejected():
         counterexample_sequence(4, 1)
     with pytest.raises(ValueError):
         counterexample_sequence(6, 0)
+    with pytest.raises(ValueError, match="delay must be >= 1"):
+        building_block(0)
 
 
 def test_tampered_spec_is_caught():
@@ -204,6 +207,84 @@ def test_tampered_spec_is_caught():
     )
     with pytest.raises(VerificationError):
         verify_nonantimonotonicity(broken, check_optimal=False)
+
+
+def _extra_hit_elsewhere(cspec):
+    extra = list(cspec.extra_hit_bits)
+    extra[0] = 1  # the opening request, a forced miss
+    return cspec._replace(extra_hit_bits=tuple(extra))
+
+
+def _regapped(cspec, sequence):
+    """``cspec`` on another trace, with the gap its two vectors have there."""
+    gap = (delayed_hits_latency(sequence, cspec.delay, list(cspec.extra_hit_bits))[0]
+           - delayed_hits_latency(sequence, cspec.delay, list(cspec.baseline_bits))[0])
+    return cspec._replace(sequence=tuple(sequence), predicted_gap=gap)
+
+
+def _without_burst(cspec):
+    # with no burst to serve, the lone miss's fetch only costs
+    delay, sequence = cspec.delay, list(cspec.sequence)
+    sequence[2 * delay - cspec.burst_len:2 * delay] = [0] * cspec.burst_len
+    return _regapped(cspec, sequence)
+
+
+def _hot_after_decoy(cspec):
+    # hot's fetch now returns at t = delay + 1, too late for that request to hit
+    sequence = list(cspec.sequence)
+    sequence[0], sequence[1] = sequence[1], sequence[0]
+    return _regapped(cspec, sequence)
+
+
+def _with_tail(cspec, items, bits):
+    """``cspec`` with requests appended, each after ``delay`` idle slots,
+    and the same bits for them in both vectors."""
+    pad = cspec.delay
+    sequence = [x for item in items for x in [0] * pad + [item]]
+    tail = [b for bit in bits for b in [1] * pad + [bit]]
+    return cspec._replace(
+        sequence=cspec.sequence + tuple(sequence),
+        baseline_bits=cspec.baseline_bits + tuple(tail),
+        extra_hit_bits=cspec.extra_hit_bits + tuple(tail),
+    )
+
+
+# at k = 1 the hot item is 2 and the decoy, resident at the end, is 3
+@pytest.mark.parametrize(
+    "tamper,message",
+    [
+        (_extra_hit_elsewhere, r"bit vectors differ at \[1, 7\], expected \[7\]"),
+        (lambda c: c._replace(predicted_gap=c.predicted_gap + 1),
+         "latency gap is 3, closed form predicts 4"),
+        (_without_burst, "gap -6 is not positive"),
+        # item k + 1, the hot item, starts resident, so its first request hits
+        (lambda c: c._replace(cache_size=2), "baseline hit sequence is not feasible"),
+        (_hot_after_decoy, "extra-hit hit sequence is not feasible"),
+        # both misses of the hot item are feasible, but caching it saves one
+        (lambda c: _with_tail(c, [2, 2], [0, 0]),
+         "exhaustive optimum 30 != baseline latency 36"),
+        # caching the hot item for its second request costs the decoy a miss
+        (lambda c: _with_tail(c, [2, 2, 3], [0, 0, 1]),
+         "baseline is not the unique optimal hit sequence; found 2"),
+    ],
+    ids=["differ-elsewhere", "gap-not-closed-form", "gap-not-positive",
+         "baseline-infeasible", "extra-hit-infeasible", "not-optimal", "not-unique"],
+)
+def test_each_refusal_names_its_check(tamper, message):
+    with pytest.raises(VerificationError, match=f"^{message}$"):
+        verify_nonantimonotonicity(tamper(counterexample_sequence(6, 1)))
+
+
+def test_fetch_on_hit_increase_is_refused(monkeypatch):
+    # the real closed form is antimonotone, so this check is reached only
+    # through one that charges each hit
+    def charging(sequence, delay, bits):
+        total, per = antimonotone_latency(sequence, delay, bits)
+        return total + 1000 * sum(bits), per
+
+    monkeypatch.setattr(counterexample, "antimonotone_latency", charging)
+    with pytest.raises(VerificationError, match="fetch-on-hit latency increased"):
+        verify_nonantimonotonicity(counterexample_sequence(6, 1))
 
 
 def test_overrun_names_its_search_and_keeps_the_partial_report():

@@ -11,6 +11,7 @@ from delayedhits import (
     ModelParams,
     NeverCachePolicy,
     ReductionPolicy,
+    VerificationError,
     reduction_outer_params,
     simulate,
     verify_domination,
@@ -179,7 +180,27 @@ def test_victim_matches_the_all_items_rule():
 def test_wrapper_validates_outer_params():
     inner_params = ModelParams(5, 2, 3)
     wrapped = ReductionPolicy(LruPolicy(), inner_params)
-    with pytest.raises(ValueError):
-        simulate(ModelParams(5, 2, 3), [1], wrapped)          # wrong capacity
-    with pytest.raises(ValueError):
-        simulate(ModelParams(5, 5, 4), [1], wrapped)          # wrong delay
+    for outer in (
+        ModelParams(5, 2, 3),                  # wrong capacity
+        ModelParams(5, 5, 4),                  # wrong delay
+        ModelParams(6, 5, 3),                  # wrong universe
+        ModelParams(5, 5, 3, ANTIMONOTONE),    # wrong model
+    ):
+        with pytest.raises(ValueError, match=r"^the wrapper runs under ModelParams\(num_items=5, "
+                           r"cache_size=5, delay=3, mode='standard'\), got "):
+            simulate(outer, [1], wrapped)
+    assert simulate(ModelParams(5, 5, 3), [1], wrapped).total_latency == 0
+
+
+def test_a_wrapper_that_evicts_a_protected_item_is_caught(monkeypatch):
+    # evicting item 1, requested at t=2, makes its request at t=3 miss in
+    # full, where the inner run's fetch from its hit at t=2 serves it sooner
+    rule = ReductionPolicy.choose_eviction
+
+    def evict_recent(self, t, item, cache):
+        return min(cache & set(self.recent), default=0) or rule(self, t, item, cache)
+
+    monkeypatch.setattr(ReductionPolicy, "choose_eviction", evict_recent)
+    with pytest.raises(VerificationError, match="^domination violated at t=3: "
+                       "wrapped latency 2 > inner latency 1$"):
+        verify_domination([4, 1, 1], LruPolicy(), ModelParams(4, 1, 2))
