@@ -24,6 +24,7 @@ from .policies import (
     SearchBudgetExceeded,
     brute_force_opt,
     is_hit_sequence_feasible,
+    optimal_hit_sequences,
 )
 
 
@@ -149,14 +150,18 @@ def verify_nonantimonotonicity(
     of each vector and, with ``check_optimal``, the optimum and the set of
     optima, which must be the baseline alone.
 
-    With ``check_optimal`` the set-of-optima search runs first. When its
-    total is the baseline latency and its set is exactly the baseline,
-    that one search settles the baseline's feasibility (its schedule for
-    the baseline is the feasibility search's first witness), the optimum
-    and uniqueness, so only the extra-hit feasibility search runs after
-    it. Otherwise the remaining searches run in the order above, the
-    optimum search only if the set-of-optima search overran; that overrun
-    is raised at the unique-optimum step. Each search runs at most once.
+    With ``check_optimal`` a first-deviation search runs first: bounded
+    by ``limit`` = the baseline's closed-form latency, it keeps the first
+    run that realizes the baseline and stops at the first run whose hit
+    bits leave it at no greater cost. When it keeps the baseline's run and
+    nothing else, that one search settles the baseline's feasibility (its
+    run is the feasibility search's first witness), the optimum and
+    uniqueness, so only the extra-hit feasibility search runs after it.
+    Otherwise the remaining searches run in the order above, the optimum
+    search last; an overrun of the first search is raised at the
+    unique-optimum step, and the set of optima is searched only to count
+    it in the refusal. Each search runs at most once. The feasibility
+    searches are bounded by their target's closed-form latency too.
     A search that overruns ``node_budget`` raises
     :class:`SearchBudgetExceeded` as ``"<step> search: <message>"``, with
     the partial report as ``exc.report``.
@@ -196,16 +201,19 @@ def verify_nonantimonotonicity(
     )
     params = cspec.params()
     baseline = tuple(b)
-    optimum = optima = overrun = None
+    runs = overrun = None
     if check_optimal:
         try:
-            optimum, optima, _ = policies._search(params, seq, node_budget, operator.gt)
+            _, runs, _ = policies._search(params, seq, node_budget, operator.ge,
+                                          limit=low, avoid=b)
         except SearchBudgetExceeded as exc:
             overrun = exc
+    # a run of the baseline and none of another vector costing low or less
+    settled = runs is not None and runs.keys() == {baseline}
     step = "baseline feasibility"
     try:
-        if optimum == low and optima.keys() == {baseline}:
-            witness = optima[baseline]
+        if settled:
+            witness = runs[baseline]
         else:
             ok, witness = is_hit_sequence_feasible(params, seq, b, node_budget)
             if not ok:
@@ -219,8 +227,7 @@ def verify_nonantimonotonicity(
         if not check_optimal:
             return report
         step = "optimum"
-        if overrun is not None:
-            optimum = brute_force_opt(params, seq, node_budget).min_latency
+        optimum = low if settled else brute_force_opt(params, seq, node_budget).min_latency
         if optimum != low:
             raise VerificationError(
                 f"exhaustive optimum {optimum} != baseline latency {low}"
@@ -229,7 +236,9 @@ def verify_nonantimonotonicity(
         step = "unique-optimum"
         if overrun is not None:
             raise overrun
-        if optima.keys() != {baseline}:
+        if not settled:
+            # another vector costs at most the optimum; count them all
+            _, optima = optimal_hit_sequences(params, seq, node_budget)
             raise VerificationError(
                 f"baseline is not the unique optimal hit sequence; found {len(optima)}"
             )

@@ -7,24 +7,30 @@ item, showing it a read-only view of the resident set that is valid for
 that call only. Returning 0 declines to cache. All shipped policies break
 ties by smallest item id so runs are reproducible.
 
-The three exhaustive searches (the optimum, every optimal hit sequence,
-hit-sequence feasibility) run one depth-first kernel over the eviction
-decisions: decline first, then each resident in ascending order. A
-branch is cut once a lower bound on its total (the committed latency
-plus that of the future requests that miss whatever is evicted later)
-reaches the best total found, keeping the first witness, or exceeds it,
-keeping ties. The feasibility search instead cuts an eviction at once
-when the victim must miss a request the target marks as a hit. A
-transposition table maps (t, cache, fetches in flight), which fixes every
-future cost and hit bit, to the least committed latency seen there, and
-cuts revisits that can do no better, or every revisit when only the first
-feasible schedule is wanted. It holds at most k+1 entries per decision
-node, so the node budget bounds its memory. A node settles all three
-cuts for each of its choices from the paused run, since a choice only
-swaps the returned item for the victim; only the choices that survive
-are cloned, and the bound is tested again, against the best total by
-then, when a choice is taken. The searches are exact and refuse
-oversized instances.
+The exhaustive searches (the optimum, every optimal hit sequence,
+hit-sequence feasibility, and the first deviation from a hit sequence)
+run one depth-first kernel over the eviction decisions: decline first,
+then each resident in ascending order. A branch is cut once a lower bound
+on its total (the committed latency plus that of the future requests
+that miss whatever is evicted later) reaches the best total found,
+keeping the first witness, or exceeds it, keeping ties. A ``limit``
+starts the best total just above it. The feasibility search passes its
+target's closed-form latency, which every run realizing the target costs
+exactly, and it also cuts an eviction at once when the victim must miss
+a request the target marks as a hit. The first-deviation search keeps
+its limit fixed and stops at the first run whose hit bits leave a given
+vector: no such run at the vector's own cost means that vector is the
+unique optimum (Lawler's K = 2 question), with no set of optima built. A
+transposition table maps (t, cache, fetches in flight), which fixes
+every future cost and hit bit, to the least committed latency seen
+there, and cuts revisits that can do no better; the first-deviation
+search adds to the key whether the run has left its vector. It holds at
+most k+1 entries per decision node, so the node budget bounds its
+memory. A node settles all three cuts for each of its choices from the
+paused run, since a choice only swaps the returned item for the victim;
+only the choices that survive are cloned, and the bound is tested again,
+against the best total by then, when a choice is taken. The searches are
+exact and refuse oversized instances.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ from collections import namedtuple
 from collections.abc import Set as AbstractSet
 from itertools import accumulate
 
-from .model import ModelParams, Simulation, validate_sequence
-from .latency import normalize_hit_bits
+from .model import ANTIMONOTONE, ModelParams, Simulation, validate_sequence
+from .latency import antimonotone_latency, delayed_hits_latency, normalize_hit_bits
 from .traces import request_times
 
 DEFAULT_SEARCH_BUDGET = 2**22
@@ -280,63 +286,76 @@ def _branches(sim, returned, terms):
     at, decline first and then each resident in ascending order: the
     transposition key and committed + forced of the run after
     ``apply_eviction(returned, choice)``, derived from the paused run. A
-    choice only swaps ``returned`` for the victim, so no clone is needed;
-    the bound is None without ``terms``."""
+    choice only swaps ``returned`` for the victim, so no clone is needed."""
     cache = frozenset(sim.cache)
     grown = cache | {returned}
     fetches = frozenset(sim.fetches.items())
-    share = declined = None
-    if terms is not None:
-        share = terms(sim)
-        declined = sim.committed + sum(v for item, v in share.items() if item not in cache)
-        swapped = declined - share[returned]
+    share = terms(sim)
+    declined = sim.committed + sum(v for item, v in share.items() if item not in cache)
+    swapped = declined - share[returned]
     yield 0, (sim.t, cache, fetches), declined
     for victim in sorted(cache):
-        bound = None if share is None else swapped + share.get(victim, 0)
-        yield victim, (sim.t, grown - {victim}, fetches), bound
+        yield victim, (sim.t, grown - {victim}, fetches), swapped + share.get(victim, 0)
 
 
-def _search(params, sequence, node_budget, cut, target=None):
-    """The search kernel: (least total, {hit bits: evictions} attaining it, nodes).
+def _search(params, sequence, node_budget, cut, target=None, limit=None, avoid=None):
+    """The search kernel: (best, {hit bits: evictions} of the runs kept, nodes).
 
-    ``cut(bound, best)`` is ``operator.ge`` for the first optimum, ``operator.gt``
-    for every optimum, or None to stop at the first run that realizes ``target``.
+    ``cut(bound, best)`` is ``operator.ge`` to keep the first run at the
+    least total, or ``operator.gt`` to keep one run per hit vector at it.
+    ``best`` starts at ``limit + 1``, so no run costing more than ``limit``
+    is kept. With ``target`` bits the search stops at the first run that
+    realizes them. With ``avoid`` bits, under ``ge`` and a ``limit``,
+    ``best`` never moves: the first run that stays on ``avoid`` is kept,
+    and the search stops at the first run that leaves it.
     """
     validate_sequence(params, sequence)
     pinned = {}
+    follow = target if target is not None else avoid
+    if follow is not None:
+        follow = normalize_hit_bits(sequence, follow)
     if target is not None:
-        target = normalize_hit_bits(sequence, target)
         # each item's request times, and prefix counts of the target's hits there
         pinned = {
-            item: (times, [0, *accumulate(target[s - 1] for s in times)])
+            item: (times, [0, *accumulate(follow[s - 1] for s in times)])
             for item, times in request_times(sequence).items()
         }
-    terms = _forced_terms(params, sequence) if cut else None
+    terms = _forced_terms(params, sequence)
     seen, optima = {}, {}
-    nodes, best = 0, _NEVER
+    nodes, best = 0, _NEVER if limit is None else limit + 1
+    done = False
 
-    def advance(sim):
-        """Run on from a choice to the next decision: the item returned
-        there, or None at a missed target or the end. The cache holds still
-        on the way, so all it commits lies in the choice's bound."""
-        nonlocal best
+    def advance(sim, deviated):
+        """Run on from a choice to the next decision: (the item returned
+        there, or None at a missed target or the end; whether the run's hit
+        bits have left ``avoid``). The cache holds still on the way, so all
+        it commits lies in the choice's bound."""
+        nonlocal best, done
         while sim.t < len(sequence):
             pos = sim.t
             returned = sim.step(sequence[pos])
-            if target is not None and (sim.per_request_latency[pos] == 0) != target[pos]:
-                return None
+            if (follow is not None and not deviated
+                    and (sim.per_request_latency[pos] == 0) != follow[pos]):
+                if target is not None:
+                    return None, False
+                deviated = True
             if sim.needs_decision(returned):
-                return returned
-        # a run the cut lets through beats every run before it, or ties under >
-        if sim.committed < best:
+                return returned, deviated
+        # the root is no choice and has no bound, so the cut is tested here
+        if cut(sim.committed, best):
+            return None, deviated
+        # a run the cut lets through beats every run before it, or ties
+        # under >; with avoid, best stays above limit
+        if avoid is None and sim.committed < best:
             best = sim.committed
             optima.clear()
         # latencies map one to one to hit bits; the run has ended and only
         # the search holds it, so the optima returned take over its lists
         optima.setdefault(tuple(sim.per_request_latency), sim)
-        return None
+        done = deviated or target is not None
+        return None, deviated
 
-    def survivors(sim, returned):
+    def survivors(sim, returned, deviated):
         """The choices at a decision that no cut settles on the spot, each
         with its bound, in pop order. Every descendant decides later, so no
         key of this time is read or written before the choices are popped."""
@@ -348,33 +367,36 @@ def _search(params, sequence, node_budget, cut, target=None):
                 lo, hi, _ = _miss_window(sim, choice, times, params.delay)
                 if hits[hi] > hits[lo]:
                     continue
+            if avoid is not None:
+                # runs that share a key but not the flag count different leaves
+                key = key, deviated
             stored = seen.get(key)
-            if stored is not None and (cut is None or cut(sim.committed, stored)):
+            if stored is not None and cut(sim.committed, stored):
                 continue
             seen[key] = sim.committed
-            if cut and cut(bound, best):
+            if cut(bound, best):
                 continue
             kept.append((bound, choice))
         kept.reverse()
         return kept
 
-    # depth first without recursion: each frame is a paused decision and
-    # its surviving choices, popped from the end; the bound is tested again
-    # at the pop against the best total by then, and every choice but the
-    # last runs on a clone, the last on the paused run itself. The root is
-    # a decline with nothing returned.
-    stack = [(Simulation(params), None, [(0, 0)])]
-    while stack and not (cut is None and optima):
-        sim, returned, choices = stack[-1]
+    # depth first without recursion: each frame is a paused decision, its
+    # deviated flag and its surviving choices, popped from the end; the
+    # bound is tested again at the pop against the best total by then, and
+    # every choice but the last runs on a clone, the last on the paused run
+    # itself. The root is a decline with nothing returned.
+    stack = [(Simulation(params), None, False, [(0, 0)])]
+    while stack and not done:
+        sim, returned, deviated, choices = stack[-1]
         bound, choice = choices.pop()
         if not choices:
             stack.pop()
-        if cut and cut(bound, best):
+        if cut(bound, best):
             continue
         if choices:
             sim = sim.clone()
         sim.apply_eviction(returned, choice)
-        returned = advance(sim)
+        returned, deviated = advance(sim, deviated)
         if returned is None:
             continue
         nodes += 1
@@ -382,9 +404,9 @@ def _search(params, sequence, node_budget, cut, target=None):
             raise SearchBudgetExceeded(
                 f"instance too large: more than {node_budget} decision nodes"
             )
-        choices = survivors(sim, returned)
+        choices = survivors(sim, returned, deviated)
         if choices:
-            stack.append((sim, returned, choices))
+            stack.append((sim, returned, deviated, choices))
     runs = [run.result() for run in optima.values()]
     return best, {tuple(run.hit_sequence): run.eviction_sequence for run in runs}, nodes
 
@@ -409,6 +431,9 @@ def is_hit_sequence_feasible(
     params, sequence, bits, node_budget=DEFAULT_SEARCH_BUDGET
 ) -> tuple[bool, list[int] | None]:
     """Search for an eviction schedule whose run realizes exactly ``bits``:
-    (True, the first such schedule in search order) or (False, None)."""
-    _, found, _ = _search(params, sequence, node_budget, None, bits)
+    (True, the first such schedule in search order) or (False, None). Such
+    a run costs the closed-form latency of ``bits``, the search's limit."""
+    latency = antimonotone_latency if params.mode == ANTIMONOTONE else delayed_hits_latency
+    limit, _ = latency(sequence, params.delay, bits)
+    _, found, _ = _search(params, sequence, node_budget, operator.ge, bits, limit)
     return (True, *found.values()) if found else (False, None)

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import multiprocessing
-import operator
 import os
 import pickle
 import random
@@ -170,31 +169,43 @@ def test_counterexample_report(capsys):
     assert "search_error" not in results
 
 
+def _named_searches(monkeypatch, avoid_budget=None):
+    """Record each kernel call by what it searches for: the first deviation
+    from the baseline, a target's first run, or the optimum (ge). With
+    ``avoid_budget``, the first-deviation search alone runs on that budget."""
+    searches = []
+    real_search = policies._search
+
+    def named(params, sequence, budget, cut, target=None, limit=None, avoid=None):
+        if avoid is not None:
+            searches.append("avoid")
+            budget = avoid_budget or budget
+        else:
+            searches.append(cut.__name__ if target is None else "target")
+        return real_search(params, sequence, budget, cut, target, limit, avoid)
+
+    monkeypatch.setattr(policies, "_search", named)
+    return searches
+
+
 @pytest.mark.parametrize(
     "budget,calls,error,optimum_found",
     [
-        (None, [operator.gt, None], None, True),
-        ("5", [operator.gt, None], "baseline feasibility", False),
-        ("30", [operator.gt, None, None, operator.ge], "optimum", False),
-        ("40", [operator.gt, None, None, operator.ge], "unique-optimum", True),
+        (None, ["avoid", "target"], None, True),
+        ("5", ["avoid", "target"], "baseline feasibility", False),
+        ("16", ["avoid", "target", "target", "ge"], "optimum", False),
+        ("17", ["avoid", "target"], None, True),
     ],
-    ids=["default", "budget-5", "budget-30", "budget-40"],
+    ids=["default", "budget-5", "budget-16", "budget-17"],
 )
 def test_counterexample_budget_overrun_runs_each_search_once(
     capsys, monkeypatch, budget, calls, error, optimum_found
 ):
-    # the set of optima runs first; when it settles the baseline, only the
-    # extra-hit feasibility search follows. When it overruns (46 nodes),
-    # the other searches run in order, the optimum search (ge) last; the
-    # report keeps what was already verified
-    searches = []
-    real_search = policies._search
-
-    def counting(*args, **kwargs):
-        searches.append(args[3])
-        return real_search(*args, **kwargs)
-
-    monkeypatch.setattr(policies, "_search", counting)
+    # the first-deviation search runs first (17 nodes); when it settles the
+    # baseline, only the extra-hit feasibility search follows. When it
+    # overruns, the other searches run in order, the optimum search (ge,
+    # 32 nodes) last; the report keeps what was already verified
+    searches = _named_searches(monkeypatch)
     budget_args = [] if budget is None else ["--search-budget", budget]
     code, report = run_cli(
         capsys, "counterexample", "-Z", "26", "-k", "7", "--oracle-check", *budget_args
@@ -213,26 +224,30 @@ def test_counterexample_budget_overrun_runs_each_search_once(
 
 
 @pytest.mark.parametrize(
-    "budget,search,opt_latency",
-    [(30, "optimum", None), (40, "unique-optimum", 169)],
-    ids=["optimum", "set-of-optima"],
+    "avoid_budget,search,opt_latency",
+    [(None, "optimum", None), (16, "unique-optimum", 169)],
+    ids=["optimum", "first-deviation"],
 )
 def test_counterexample_overrun_names_the_optimum_search_that_overran(
-    capsys, budget, search, opt_latency
+    capsys, monkeypatch, avoid_budget, search, opt_latency
 ):
-    # both feasibility searches fit either budget; 30 nodes stop the
-    # optimum search, 40 stop only the set-of-optima search after it
+    # both feasibility searches fit 16 nodes and the optimum search does
+    # not; the first-deviation search, cut to 16 nodes alone, overruns
+    # while the optimum search finds the baseline's latency
+    budget = 16 if avoid_budget is None else 40
+    searches = _named_searches(monkeypatch, avoid_budget)
     code, report = run_cli(
         capsys, "counterexample", "-Z", "26", "-k", "7", "--oracle-check",
         "--search-budget", str(budget),
     )
+    assert searches == ["avoid", "target", "target", "ge"]
     assert code == 4
     results = report["results"]
     assert results["baseline_witness"] and results["extra_hit_witness"]
     assert results["opt_latency"] == opt_latency
     assert results["opt_unique"] is None
     assert results["search_error"] == (
-        f"{search} search: instance too large: more than {budget} decision nodes"
+        f"{search} search: instance too large: more than 16 decision nodes"
     )
 
 
@@ -536,8 +551,9 @@ def test_report_bytes_are_pinned(tmp_path, capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# the certificate at (26, 7) whole and cut at each of its three overrun
-# steps, and a larger one; the verifier's search order must keep them all
+# the certificate at (26, 7) whole, cut at each of its two overrun steps
+# and whole again once the budget fits its searches, and a larger one; the
+# verifier's search order must keep them all
 @pytest.mark.parametrize(
     "argv,code,digest",
     [
@@ -545,14 +561,19 @@ def test_report_bytes_are_pinned(tmp_path, capsys, argv, digest):
          "cdd5f4cc34580e29a8d848b2277028d5c18855b379fc328847acdbea1d4d8cd7"),
         (["-Z", "26", "-k", "7", "--search-budget", "5"], 4,
          "1a8894a65c1aa6140d7c9bb743fbaa77d5f29d4430143afa7a6e82f2431ba2c8"),
-        (["-Z", "26", "-k", "7", "--search-budget", "30"], 4,
-         "fcf0d90de15b3fc7b3080c9779480aff4dfc05e6fe157b72cb829c6fc938137c"),
-        (["-Z", "26", "-k", "7", "--search-budget", "40"], 4,
-         "ec25801cc439c1e9b0b7524634dce579d4716362daa954ea94acbb62588d9d6f"),
+        (["-Z", "26", "-k", "7", "--search-budget", "15"], 4,
+         "cef25507e5ca681b20c725fe47258081efecfbba64cd2770e294155a6b6bea9e"),
+        (["-Z", "26", "-k", "7", "--search-budget", "16"], 4,
+         "cd0b02fa062707cda4b81fa416326a63cbbf6556cba00e41624c7d53bded4234"),
+        (["-Z", "26", "-k", "7", "--search-budget", "30"], 0,
+         "cdd5f4cc34580e29a8d848b2277028d5c18855b379fc328847acdbea1d4d8cd7"),
+        (["-Z", "26", "-k", "7", "--search-budget", "40"], 0,
+         "cdd5f4cc34580e29a8d848b2277028d5c18855b379fc328847acdbea1d4d8cd7"),
         (["-Z", "60", "-k", "20"], 0,
          "d349ff107f195ed69cafdda27d7bd13cb3012dd383ebf7544bd4e95f31c91ca6"),
     ],
-    ids=["26-7", "26-7-budget-5", "26-7-budget-30", "26-7-budget-40", "60-20"],
+    ids=["26-7", "26-7-budget-5", "26-7-budget-15", "26-7-budget-16",
+         "26-7-budget-30", "26-7-budget-40", "60-20"],
 )
 def test_counterexample_report_bytes_are_pinned(capsys, argv, code, digest):
     assert main(["counterexample", *argv, "--oracle-check"]) == code

@@ -17,7 +17,7 @@ from delayedhits import (
     replay,
     verify_nonantimonotonicity,
 )
-from delayedhits import counterexample
+from delayedhits import counterexample, policies
 from delayedhits.model import Simulation, VerificationError
 
 
@@ -287,21 +287,38 @@ def test_fetch_on_hit_increase_is_refused(monkeypatch):
         verify_nonantimonotonicity(counterexample_sequence(6, 1))
 
 
-def test_overrun_names_its_search_and_keeps_the_partial_report():
+def test_overrun_names_its_search_and_keeps_the_partial_report(monkeypatch):
+    searches = []
+    real_search = policies._search
+
+    def named(params, sequence, budget, cut, target=None, limit=None, avoid=None):
+        searches.append("avoid" if avoid is not None else
+                        cut.__name__ if target is None else "target")
+        return real_search(params, sequence, budget, cut, target, limit, avoid)
+
+    monkeypatch.setattr(policies, "_search", named)
     cspec = counterexample_sequence(26, 7)
     with pytest.raises(SearchBudgetExceeded) as exc:
         verify_nonantimonotonicity(cspec, node_budget=5)
+    assert searches == ["avoid", "target"]
     assert str(exc.value) == (
         "baseline feasibility search: instance too large: more than 5 decision nodes"
     )
     report = exc.value.report
     assert report.gap == 143
     assert report.baseline_witness is None and report.extra_hit_witness is None
-    # 40 nodes fit both feasibility searches and the optimum search
+    # 16 nodes fit both feasibility searches but not the first-deviation
+    # search (17 nodes) or, after them, the optimum search (32 nodes)
+    searches.clear()
     with pytest.raises(SearchBudgetExceeded) as exc:
-        verify_nonantimonotonicity(cspec, node_budget=40)
-    assert str(exc.value).startswith("unique-optimum search: ")
+        verify_nonantimonotonicity(cspec, node_budget=16)
+    assert searches == ["avoid", "target", "target", "ge"]
+    assert str(exc.value).startswith("optimum search: ")
     report = exc.value.report
     assert report.baseline_witness and report.extra_hit_witness
-    assert report.opt_latency == 169
-    assert report.opt_unique is None
+    assert report.opt_latency is None and report.opt_unique is None
+    # 17 nodes fit the first-deviation search, which settles all but the
+    # extra hit's feasibility
+    searches.clear()
+    assert verify_nonantimonotonicity(cspec, node_budget=17).opt_unique
+    assert searches == ["avoid", "target"]

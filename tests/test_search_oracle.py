@@ -228,12 +228,18 @@ def test_a_choice_commits_no_more_than_its_bound_before_the_next_decision():
 def test_each_optimum_keeps_the_feasibility_searchs_witness(mode):
     """The set-of-optima search keeps, for each optimal hit vector, the
     first schedule in branch order that realizes it: the very witness the
-    feasibility search returns. The counterexample verifier relies on this
-    when it takes the baseline's witness from the set of optima. On seeded
-    instances, every vector of every set must have that witness, replay to
-    itself and cost the optimum."""
-    rng = random.Random(19)
-    vectors = 0
+    feasibility search returns. On seeded instances, every vector of every
+    set must have that witness, replay to itself and cost the optimum.
+
+    The first-deviation search, with ``limit`` = the optimum and ``avoid``
+    = a random optimal vector, must find a run off that vector exactly
+    when the set holds another, and nothing with ``limit`` one lower; what
+    it keeps for the vector is the feasibility search's witness, which the
+    counterexample verifier takes as the baseline's. The feasibility search
+    bounded by its target's closed-form latency must answer as the
+    unbounded one does, on that vector and on random bits."""
+    rng, rng_v = random.Random(19), random.Random(23)
+    vectors = several = 0
     for _ in range(500):
         k = rng.randint(1, 3)
         n = k + rng.randint(1, 6 - k)
@@ -241,10 +247,22 @@ def test_each_optimum_keeps_the_feasibility_searchs_witness(mode):
         sequence = random_sequence(rng, n, rng.randint(1, 30))
         total, optima, _ = _search(params, sequence, 2**22, operator.gt)
         assert total == brute_force_opt(params, sequence).min_latency
+        several += len(optima) > 1
         for hits, evictions in optima.items():
             assert is_hit_sequence_feasible(params, sequence, list(hits)) == (True, evictions)
             result = replay(params, sequence, evictions)
             assert tuple(result.hit_sequence) == hits
             assert result.total_latency == total
             vectors += 1
-    assert vectors > 1000
+        v = rng_v.choice(sorted(optima))
+        _, runs, _ = _search(params, sequence, 2**22, operator.ge, limit=total, avoid=v)
+        assert runs.keys() <= optima.keys()
+        assert (len(runs.keys() - {v}) == 1) is (len(optima) > 1)
+        assert runs.get(v, optima[v]) == optima[v]
+        assert len(optima) > 1 or runs == optima
+        assert _search(params, sequence, 2**22, operator.ge, limit=total - 1, avoid=v)[1] == {}
+        for bits in (v, [rng_v.randint(0, 1) for _ in sequence]):
+            _, found, _ = _search(params, sequence, 2**22, operator.ge, bits)
+            expected = (True, *found.values()) if found else (False, None)
+            assert is_hit_sequence_feasible(params, sequence, bits) == expected
+    assert vectors > 1000 and several > 100
