@@ -118,23 +118,6 @@ class SimulationResult(namedtuple("SimulationResult", "hit_sequence per_request_
         return history
 
 
-def _unchain(chain, steps) -> tuple[list[int], list[int]]:
-    """(evictions of ``steps`` timesteps, items cached in order) of a chain
-    of frozen logs, each ``(log, earlier)``: its segments are walked oldest
-    first, and each log gives its times, victims and items as slices."""
-    segments = []
-    while chain is not None:
-        log, chain = chain
-        segments.append(log)
-    evictions = [0] * steps
-    insertions = []
-    for log in reversed(segments):
-        for t, victim in zip(log[::3], log[1::3]):
-            evictions[t - 1] = victim
-        insertions += log[2::3]
-    return evictions, insertions
-
-
 def validate_sequence(params: ModelParams, sequence) -> None:
     if not sequence or 0 <= min(sequence) and max(sequence) <= params.num_items:
         return
@@ -158,11 +141,9 @@ class Simulation:
     Every structure is keyed by item or by time and holds only what is in
     flight, so one request costs O(1) amortised work and a run holds O(T)
     memory whatever the item ids are: one latency per step, which gives
-    its hit bit, and three list slots per eviction. The evictions since
-    the last :meth:`clone` sit in ``log``, a flat list the run owns; the
-    earlier ones sit in ``frozen``, a chain of frozen logs that clones
-    share. Only :meth:`clone` and :meth:`result` read the log; the result
-    gives it out as the eviction sequence and the items cached.
+    its hit bit, and three list slots per eviction in ``log``, a flat list
+    the run owns. Only :meth:`clone` and :meth:`result` read the log; the
+    result gives it out as the eviction sequence and the items cached.
     """
 
     def __init__(self, params: ModelParams):
@@ -175,8 +156,7 @@ class Simulation:
         self.fetches = {}      # return time -> item; one dispatch per timestep
         self.fetch_times = {}  # item -> return times of its fetches in flight
         self.per_request_latency = []  # a hit costs 0, a miss at least 1
-        self.log = []        # t, victim, item cached: three slots per eviction
-        self.frozen = None   # (log, earlier) chain of frozen logs, shared by clones
+        self.log = []  # t, victim, item cached: three slots per eviction
         # latency of every request so far, exact, not a bound: a miss's serving
         # fetch (the earliest same-item one then in flight) is fixed when it misses
         self.committed = 0
@@ -249,19 +229,9 @@ class Simulation:
 
     # -- search support --------------------------------------------------
 
-    def _evictions(self):
-        """The run's evictions as a chain of frozen logs, newest first: ``log``
-        is frozen into it, so the chain returned never changes afterwards."""
-        if self.log:
-            self.frozen = (self.log, self.frozen)
-            self.log = []
-        return self.frozen
-
     def clone(self) -> "Simulation":
-        """An independent copy: the cache, the fetches in flight and the
-        latency list are copied. The eviction log is frozen into the chain,
-        which both runs share, and each goes on with a fresh log, so the
-        clone costs nothing per eviction."""
+        """An independent copy: the cache, the fetches in flight, the
+        latency list and the eviction log are copied."""
         twin = object.__new__(Simulation)
         twin.params = self.params
         twin.t = self.t
@@ -269,8 +239,7 @@ class Simulation:
         twin.fetches = self.fetches.copy()
         twin.fetch_times = self.fetch_times.copy()
         twin.per_request_latency = self.per_request_latency[:]
-        twin.frozen = self._evictions()
-        twin.log = []
+        twin.log = self.log[:]
         twin.committed = self.committed
         return twin
 
@@ -280,12 +249,16 @@ class Simulation:
 
         This ends the run: the result takes over the latency list instead
         of copying it, so the simulation must not be stepped afterwards;
-        the hit bits and the eviction lists are derived.
+        the hit bits are derived, and the log gives the eviction sequence
+        its times and victims and ``insertions`` its items, as slices.
         """
         latency = self.per_request_latency
         total = sum(latency)
         assert total == self.committed
-        evictions, insertions = _unchain(self._evictions(), len(latency))
+        log = self.log
+        evictions = [0] * len(latency)
+        for t, victim in zip(log[::3], log[1::3]):
+            evictions[t - 1] = victim
         return SimulationResult(
             # a request is a hit exactly when it costs 0
             hit_sequence=[0 if cost else 1 for cost in latency],
@@ -293,7 +266,7 @@ class Simulation:
             eviction_sequence=evictions,
             total_latency=total,
             initial_cache=self.params.initial_cache(),
-            insertions=insertions,
+            insertions=log[2::3],
         )
 
 

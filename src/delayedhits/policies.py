@@ -263,12 +263,12 @@ def _miss_window(sim, item, times, delay):
     return lo, bisect_right(times, end, lo), end
 
 
-def _forced_terms(params, sequence):
+def _forced_terms(params, requests):
     """terms(sim): each requested item's term of the forced latency, were it
     not resident: r - s + 1 for each request at s in its miss window, summed
-    in O(log T) per item from its request times and prefix sums."""
-    table = [(item, times, [0, *accumulate(times)])
-             for item, times in request_times(sequence).items()]
+    in O(log T) per item from its request times, ``requests`` as
+    :func:`request_times` gives them, and prefix sums."""
+    table = [(item, times, [0, *accumulate(times)]) for item, times in requests.items()]
     delay = params.delay
 
     def terms(sim):
@@ -310,6 +310,7 @@ def _search(params, sequence, node_budget, cut, target=None, limit=None, avoid=N
     and the search stops at the first run that leaves it.
     """
     validate_sequence(params, sequence)
+    requests = request_times(sequence)
     pinned = {}
     follow = target if target is not None else avoid
     if follow is not None:
@@ -318,9 +319,9 @@ def _search(params, sequence, node_budget, cut, target=None, limit=None, avoid=N
         # each item's request times, and prefix counts of the target's hits there
         pinned = {
             item: (times, [0, *accumulate(follow[s - 1] for s in times)])
-            for item, times in request_times(sequence).items()
+            for item, times in requests.items()
         }
-    terms = _forced_terms(params, sequence)
+    terms = _forced_terms(params, requests)
     seen, optima = {}, {}
     nodes, best = 0, _NEVER if limit is None else limit + 1
     done = False

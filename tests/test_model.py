@@ -309,7 +309,7 @@ def _step_and_record(rng, sim, sequence, record):
 
 @pytest.mark.parametrize("mode", [STANDARD, ANTIMONOTONE])
 def test_clones_share_no_later_eviction(mode):
-    """A clone shares the evictions made before it and none made after.
+    """A clone holds the evictions made before it and none made after.
     Paused runs are cloned at random steps, and the original and its twins
     are stepped on, interleaved, with their own random choices; each run's
     result holds exactly the schedule it applied and equals ``replay`` of

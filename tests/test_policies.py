@@ -250,6 +250,25 @@ def test_search_clones_only_surviving_choices(monkeypatch):
     assert clones <= 100
 
 
+def test_feasibility_search_reads_the_trace_once(monkeypatch):
+    """One feasibility search builds each item's request times once and
+    both its forced-latency bound and its pinned-hit cut read that table."""
+    calls = 0
+    request_times = delayedhits.policies.request_times
+
+    def counting(sequence):
+        nonlocal calls
+        calls += 1
+        return request_times(sequence)
+
+    monkeypatch.setattr(delayedhits.policies, "request_times", counting)
+    spec = counterexample_sequence(26, 7)
+    targets = (spec.baseline_bits, spec.extra_hit_bits, [0] * len(spec.sequence))
+    for searches, bits in enumerate(targets, start=1):
+        is_hit_sequence_feasible(spec.params(), list(spec.sequence), list(bits))
+        assert calls == searches
+
+
 def test_last_choice_runs_in_place():
     # every decision's witness choice is the last one (evict the resident),
     # 1200 of them in a row: a recursion per decision would overflow the stack

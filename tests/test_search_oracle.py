@@ -8,6 +8,7 @@ first matching schedules in the oracle's list.
 
 import operator
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,13 +26,13 @@ from delayedhits import (
 )
 from delayedhits.latency import normalize_hit_bits
 from delayedhits.policies import RandomEvictionPolicy, _branches, _forced_terms, _search
-from delayedhits.traces import random_sequence
+from delayedhits.traces import random_sequence, request_times
 
 
 def _forced_latency(params, sequence):
     """f(sim): the latency of the future requests no schedule can avoid, the
     sum of the terms of the items not resident."""
-    terms = _forced_terms(params, sequence)
+    terms = _forced_terms(params, request_times(sequence))
     return lambda sim: sum(term for item, term in terms(sim).items() if item not in sim.cache)
 
 
@@ -162,7 +163,7 @@ def test_branch_keys_and_bounds_match_a_cloned_eviction():
         n = k + rng.randint(1, 7 - k)
         params = ModelParams(n, k, rng.randint(1, 6), (STANDARD, ANTIMONOTONE)[run % 2])
         sequence = random_sequence(rng, n, rng.randint(1, 30))
-        terms = _forced_terms(params, sequence)
+        terms = _forced_terms(params, request_times(sequence))
         forced = _forced_latency(params, sequence)
         policy = RandomEvictionPolicy(rng.randrange(2**30))
         policy.reset(params)
@@ -201,7 +202,7 @@ def test_a_choice_commits_no_more_than_its_bound_before_the_next_decision():
         n = k + rng.randint(1, 7 - k)
         params = ModelParams(n, k, rng.randint(1, 6), (STANDARD, ANTIMONOTONE)[run % 2])
         sequence = random_sequence(rng, n, rng.randint(1, 30))
-        terms = _forced_terms(params, sequence)
+        terms = _forced_terms(params, request_times(sequence))
         policy = RandomEvictionPolicy(rng.randrange(2**30))
         policy.reset(params)
         sim = Simulation(params)
@@ -266,3 +267,50 @@ def test_each_optimum_keeps_the_feasibility_searchs_witness(mode):
             expected = (True, *found.values()) if found else (False, None)
             assert is_hit_sequence_feasible(params, sequence, bits) == expected
     assert vectors > 1000 and several > 100
+
+
+@pytest.mark.parametrize("mode", [STANDARD, ANTIMONOTONE])
+def test_searches_do_not_depend_on_id_values(mode):
+    """Relabelling the items outside the initial cache, in order, to ids
+    near 10^18 leaves every search's answer as it was but for the labels:
+    the optimum, its node count, its witness, the feasibility search on the
+    witness's hit bits and the first-deviation search at the optimum. The
+    searches keep no table sized by an id, so a sparse search stays small."""
+    rng = random.Random(29)
+    huge = 10**18
+    peak = decided = 0
+    for _ in range(200):
+        k = rng.randint(1, 3)
+        n = k + rng.randint(1, 3)
+        delay = rng.randint(1, 6)
+        sequence = random_sequence(rng, n, rng.randint(1, 30))
+
+        def relabel(item):
+            return item if item <= k else item + huge - n
+
+        sparse = [relabel(item) for item in sequence]
+        dense_params = ModelParams(n, k, delay, mode)
+        sparse_params = ModelParams(huge, k, delay, mode)
+        opt = brute_force_opt(dense_params, sequence)
+        decided += opt.nodes > 0
+        feasible = is_hit_sequence_feasible(dense_params, sequence, opt.witness_hits)
+        deviation = _search(dense_params, sequence, 2**22, operator.ge,
+                            limit=opt.min_latency, avoid=opt.witness_hits)
+        tracemalloc.start()
+        try:
+            sparse_opt = brute_force_opt(sparse_params, sparse)
+            sparse_feasible = is_hit_sequence_feasible(
+                sparse_params, sparse, opt.witness_hits)
+            sparse_deviation = _search(sparse_params, sparse, 2**22, operator.ge,
+                                       limit=opt.min_latency, avoid=opt.witness_hits)
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert sparse_opt == opt._replace(
+            witness_evictions=[relabel(v) for v in opt.witness_evictions])
+        assert sparse_feasible == (True, [relabel(v) for v in feasible[1]])
+        best, runs, nodes = deviation
+        assert sparse_deviation == (best, {
+            hits: [relabel(v) for v in evictions] for hits, evictions in runs.items()
+        }, nodes)
+    assert decided > 100 and peak < 1_000_000
