@@ -363,9 +363,7 @@ def _params_dict(params=None, policy=None, seed=None):
     """The envelope's ``params``: n, k, Z and the mode read off the
     :class:`ModelParams` the command ran (None for ``check``, which runs
     many), the policy name and the sweep's seed."""
-    n = k = delay = mode = None
-    if params is not None:
-        n, k, delay, mode = params.num_items, params.cache_size, params.delay, params.mode
+    n, k, delay, mode = (None,) * 4 if params is None else params
     return {"n": n, "k": k, "Z": delay, "mode": mode, "policy": policy, "seed": seed}
 
 

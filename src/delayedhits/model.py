@@ -49,43 +49,26 @@ class VerificationError(Exception):
     """A checked property failed; the message names the violated check."""
 
 
-class ModelParams:
+class ModelParams(namedtuple("ModelParams", "num_items cache_size delay mode")):
     """Instance parameters: item universe, cache capacity, fetch delay, variant.
 
-    An immutable value, compared, hashed and printed by its four fields.
+    A named tuple, equal to the plain tuple of its four fields; the
+    constructor checks them, and ``_make`` and ``_replace`` build through it.
     """
 
-    __slots__ = ("num_items", "cache_size", "delay", "mode")
+    __slots__ = ()
 
-    def __init__(self, num_items: int, cache_size: int, delay: int, mode: str = STANDARD):
-        for name, value in zip(self.__slots__, (num_items, cache_size, delay)):
+    def __new__(cls, num_items: int, cache_size: int, delay: int, mode: str = STANDARD):
+        for name, value in zip(cls._fields, (num_items, cache_size, delay)):
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        for name, value in zip(self.__slots__, (num_items, cache_size, delay, mode)):
-            object.__setattr__(self, name, value)
+        return super().__new__(cls, num_items, cache_size, delay, mode)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def _key(self):
-        return self.num_items, self.cache_size, self.delay, self.mode
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._key()
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def initial_cache(self) -> frozenset[int]:
         # by convention the cache starts holding items 1..cache_size, and a
@@ -137,6 +120,7 @@ class Simulation:
     shadow run hand it a policy; :func:`replay` and the exhaustive
     searches step without one, so the run pauses at each return and they
     decide through ``apply_eviction``, the searches branching there.
+    ``step`` reads ``num_items``, ``delay`` and ``fetch_on_hit``, bound here.
 
     Every structure is keyed by item or by time and holds only what is in
     flight, so one request costs O(1) amortised work and a run holds O(T)
@@ -148,6 +132,9 @@ class Simulation:
 
     def __init__(self, params: ModelParams):
         self.params = params
+        self.num_items = params.num_items
+        self.delay = params.delay
+        self.fetch_on_hit = params.mode == ANTIMONOTONE
         self.t = 0
         # a dict used as a set: its keys() view is what policies are shown
         self.cache = dict.fromkeys(params.initial_cache())
@@ -196,17 +183,16 @@ class Simulation:
         without a policy the run pauses there and the caller decides
         through :meth:`apply_eviction`.
         """
-        params = self.params
-        if not 0 <= item <= params.num_items:
-            raise ValueError(f"item {item} outside 0..{params.num_items}")
+        if not 0 <= item <= self.num_items:
+            raise ValueError(f"item {item} outside 0..{self.num_items}")
         self.t = t = self.t + 1
         # hit is None at an idle slot, which costs nothing, as a hit does
         hit = item in self.cache if item else None
         if hit is not False:
             self.per_request_latency.append(0)
-        if hit is False or (hit and params.mode == ANTIMONOTONE):
+        if hit is False or (hit and self.fetch_on_hit):
             # dispatch; one request per timestep, so the return slot is free
-            return_time = t + params.delay - 1
+            return_time = t + self.delay - 1
             self.fetches[return_time] = item
             times = self.fetch_times.get(item, ()) + (return_time,)
             self.fetch_times[item] = times
@@ -234,6 +220,9 @@ class Simulation:
         latency list and the eviction log are copied."""
         twin = object.__new__(Simulation)
         twin.params = self.params
+        twin.num_items = self.num_items
+        twin.delay = self.delay
+        twin.fetch_on_hit = self.fetch_on_hit
         twin.t = self.t
         twin.cache = self.cache.copy()
         twin.fetches = self.fetches.copy()

@@ -203,11 +203,8 @@ class RandomEvictionPolicy(Policy):
 
 # the CLI's policy names, in the order it lists them
 POLICIES = {
-    "lru": LruPolicy,
-    "fifo": FifoPolicy,
-    "never": NeverCachePolicy,
-    "static": StaticPolicy,
-    "belady": BeladyPolicy,
+    cls.name: cls
+    for cls in (LruPolicy, FifoPolicy, NeverCachePolicy, StaticPolicy, BeladyPolicy)
 }
 
 

@@ -29,8 +29,8 @@ from .policies import Policy
 
 def reduction_outer_params(inner_params: ModelParams) -> ModelParams:
     """Standard-model parameters for the wrapped policy (capacity k + delay)."""
-    n, k, delay = inner_params.num_items, inner_params.cache_size, inner_params.delay
-    return ModelParams(n, k + delay, delay, STANDARD)
+    k, delay = inner_params.cache_size, inner_params.delay
+    return inner_params._replace(cache_size=k + delay, mode=STANDARD)
 
 
 class ReductionPolicy(Policy):
@@ -52,8 +52,7 @@ class ReductionPolicy(Policy):
 
     def __init__(self, inner_policy: Policy, inner_params: ModelParams):
         self.inner_policy = inner_policy
-        n, k, delay = inner_params.num_items, inner_params.cache_size, inner_params.delay
-        self.inner_params = ModelParams(n, k, delay, ANTIMONOTONE)
+        self.inner_params = inner_params._replace(mode=ANTIMONOTONE)
 
     def reset(self, params):
         """Start a run under ``params``, which must be exactly

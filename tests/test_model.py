@@ -1,5 +1,7 @@
 """Core state-machine semantics: phases, serving, the end of a run, replay."""
 
+import copy
+import pickle
 import random
 import tracemalloc
 
@@ -191,6 +193,52 @@ def test_policy_inside_step_equals_paused_step_and_outside_decision(mode):
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
         ModelParams(**kwargs)
+
+
+@pytest.mark.parametrize("mode", [STANDARD, ANTIMONOTONE])
+def test_params_are_an_immutable_value(mode):
+    params = ModelParams(3, 2, 4, mode)
+    twin = ModelParams(num_items=3, cache_size=2, delay=4, mode=mode)
+    assert params == twin
+    assert hash(params) == hash(twin) == hash((3, 2, 4, mode))
+    assert params != ModelParams(3, 2, 5, mode)
+    assert repr(params) == f"ModelParams(num_items=3, cache_size=2, delay=4, mode={mode!r})"
+    copies = [copy.copy(params), copy.deepcopy(params)]
+    copies += [pickle.loads(pickle.dumps(params, proto))
+               for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in copies:
+        assert type(copied) is ModelParams
+        assert copied == params
+    with pytest.raises(AttributeError):
+        params.delay = 5
+    with pytest.raises(AttributeError):
+        params.extra = 1
+    assert ModelParams(3, 2, 4) == ModelParams(3, 2, 4, STANDARD)
+
+
+def test_params_equal_the_plain_tuple_of_their_fields():
+    # a named tuple like the result records, so this is tuple equality
+    params = ModelParams(3, 2, 4, ANTIMONOTONE)
+    assert params == (3, 2, 4, ANTIMONOTONE)
+    assert tuple(params) == (params.num_items, params.cache_size, params.delay, params.mode)
+
+
+@pytest.mark.parametrize("mode", [STANDARD, ANTIMONOTONE])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("num_items", 0, "num_items must be >= 1"),
+        ("cache_size", 0, "cache_size must be >= 1"),
+        ("delay", 0, "delay must be >= 1"),
+        ("mode", "bogus", "mode must be one of ('standard', 'antimonotone'), got 'bogus'"),
+    ],
+)
+def test_params_replace_runs_the_constructors_checks(mode, field, value, message):
+    params = ModelParams(3, 2, 4, mode)
+    with pytest.raises(ValueError) as raised:
+        params._replace(**{field: value})
+    assert str(raised.value) == message
+    assert params._replace(**{field: getattr(params, field)}) == params
 
 
 def test_identical_runs_are_identical():

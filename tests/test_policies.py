@@ -99,7 +99,9 @@ def test_belady_is_optimal_at_delay_one():
 
 
 def test_make_policy_names():
-    # the registry's classes are the package's exported classes, named alike
+    # the registry's classes are the package's exported classes, named alike,
+    # in the order --policy lists its choices and make_policy's error names them
+    assert list(POLICIES) == ["lru", "fifo", "never", "static", "belady"]
     for name, cls in POLICIES.items():
         assert cls is getattr(delayedhits, cls.__name__)
         assert cls.name == name
