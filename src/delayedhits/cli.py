@@ -3,8 +3,9 @@
 Every command prints one JSON report envelope (deterministic for a given
 command line and seed): {"command", "version", "params", "results"}.
 Its bytes are exactly ``json.dumps(envelope, indent=2, sort_keys=True)``
-plus a newline, written in chunks by ``_json_chunks`` so that long result
-vectors skip ``json``'s pure-Python indenting encoder.
+plus a newline, written in chunks by ``_json_chunks``: it formats the long
+int vectors itself, so that they skip ``json``'s pure-Python indenting
+encoder, and leaves every other value to ``json.dumps``.
 Exit codes: 0 ok, 1 property violation, 2 input error, 3 infeasible
 eviction, 4 search budget exceeded; a reader that closes stdout before
 the report ends leaves the code as it was.
@@ -430,45 +431,35 @@ _INT_SLICE = 4096
 def _json_chunks(value, newline="\n"):
     """Yield ``json.dumps(value, indent=2, sort_keys=True)`` in pieces.
 
-    Each key and scalar is encoded by ``json.dumps`` itself, so strings,
-    floats, bools and None, and the TypeError for anything unencodable,
-    are json's own. A list of plain ints (bools excluded), where a long
-    report's bytes are, is %-formatted ``_INT_SLICE`` items at a time:
-    ``"%d"`` spells an exact int as ``str`` does, and the slices bound
-    the writer's memory. ``newline`` is a line break followed by the
-    indent of the line ``value`` starts on.
+    Two shapes are formatted here: a non-empty dict with all-str keys,
+    walked key by key to reach the vectors inside, and a non-empty list of
+    plain ints (bools excluded), where a long report's bytes are,
+    %-formatted ``_INT_SLICE`` items at a time (``"%d"`` spells an exact
+    int as ``str`` does, and the slices bound the writer's memory). Any
+    other value is one ``json.dumps`` call, re-indented if a container
+    (json escapes a newline inside a string), so every other rule, and the
+    TypeError for anything unencodable, is json's own. ``newline`` is a
+    line break followed by the indent of the line ``value`` starts on.
     """
-    if isinstance(value, dict):
-        if not value:
-            yield "{}"
-            return
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
         inner = newline + "  "
         opener = "{" + inner
         for key in sorted(value):
-            # json's own conversion of an int, float, bool or None key
-            name = key if isinstance(key, str) else json.dumps({key: 0})[2:-5]
-            yield opener + json.dumps(name) + ": "
+            yield opener + json.dumps(key) + ": "
             yield from _json_chunks(value[key], inner)
             opener = "," + inner
         yield newline + "}"
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            yield "[]"
-            return
+    elif isinstance(value, (list, tuple)) and {*map(type, value)} == {int}:
         inner = newline + "  "
         sep = "," + inner
         opener = "[" + inner
-        if {*map(type, value)} == {int}:
-            for start in range(0, len(value), _INT_SLICE):
-                part = tuple(value[start:start + _INT_SLICE])
-                yield opener + sep.join(["%d"] * len(part)) % part
-                opener = sep
-        else:
-            for item in value:
-                yield opener
-                yield from _json_chunks(item, inner)
-                opener = sep
+        for start in range(0, len(value), _INT_SLICE):
+            part = tuple(value[start:start + _INT_SLICE])
+            yield opener + sep.join(["%d"] * len(part)) % part
+            opener = sep
         yield newline + "]"
+    elif isinstance(value, (dict, list, tuple)):
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
     else:
         yield json.dumps(value)
 

@@ -21,16 +21,17 @@ a request the target marks as a hit. The first-deviation search keeps
 its limit fixed and stops at the first run whose hit bits leave a given
 vector: no such run at the vector's own cost means that vector is the
 unique optimum (Lawler's K = 2 question), with no set of optima built. A
-transposition table maps (t, cache, fetches in flight), which fixes
-every future cost and hit bit, to the least committed latency seen
-there, and cuts revisits that can do no better; the first-deviation
-search adds to the key whether the run has left its vector. It holds at
-most k+1 entries per decision node, so the node budget bounds its
-memory. A node settles all three cuts for each of its choices from the
-paused run, since a choice only swaps the returned item for the victim;
-only the choices that survive are cloned, and the bound is tested again,
-against the best total by then, when a choice is taken. The searches are
-exact and refuse oversized instances.
+transposition table maps (t, cache, return times of the fetches in
+flight), which fixes every future cost and hit bit of a run of the
+searched trace, to the least committed latency seen there, and cuts
+revisits that can do no better; the first-deviation search adds to the
+key whether the run has left its vector. It holds at most k+1 entries
+per decision node, so the node budget bounds its memory. A node settles
+all three cuts for each of its choices from the paused run, since a
+choice only swaps the returned item for the victim; only the choices
+that survive are cloned, and the bound is tested again, against the best
+total by then, when a choice is taken. The searches are exact and refuse
+oversized instances.
 """
 
 from __future__ import annotations
@@ -286,7 +287,9 @@ def _branches(sim, returned, terms):
     choice only swaps ``returned`` for the victim, so no clone is needed."""
     cache = frozenset(sim.cache)
     grown = cache | {returned}
-    fetches = frozenset(sim.fetches.items())
+    # the return times alone: the fetch returning at r carries the item
+    # requested at r - delay + 1, and insertion order is return order
+    fetches = tuple(sim.fetches)
     share = terms(sim)
     declined = sim.committed + sum(v for item, v in share.items() if item not in cache)
     swapped = declined - share[returned]

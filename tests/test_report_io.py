@@ -37,8 +37,8 @@ scalars = st.one_of(
     st.text(),
     st.sampled_from(['", "', "na\u00efve", "\u65e5\u672c", " ", "\\", '"', "\x00"]),
 )
-# all-int lists take the joined path; a bool or None sends a list down the
-# item-by-item one
+# all-int lists take the joined path; a bool or None sends a list to
+# json.dumps whole
 int_lists = st.lists(
     st.one_of(st.integers(), st.integers(min_value=-(10**30), max_value=10**30))
 )
@@ -85,6 +85,10 @@ def test_writer_matches_json_dumps(value):
         tuple(signed_ints(_INT_SLICE + 1)),
         signed_ints(2 * _INT_SLICE + 1),
         {"a": [signed_ints(_INT_SLICE + 1), []], "b": signed_ints(2 * _INT_SLICE)},
+        # json-formatted values below the top level, next to a fast-path vector
+        {"a": {1: [2, 3]}, "b": [1, 2]},
+        {"s": [{"t": "x\ny"}, [1, [2]]], "v": [5]},
+        {"e": {"f": [], "g": {}}, "h": [0]},
     ],
 )
 def test_writer_matches_json_dumps_on_edge_values(value):

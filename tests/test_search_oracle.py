@@ -155,7 +155,8 @@ def test_branch_keys_and_bounds_match_a_cloned_eviction():
     """The search settles every choice's cuts from the paused run, without
     taking the choice. At each decision of seeded random runs, the key and
     the bound it derives for each choice must be those of a clone that
-    took it: (t, cache, fetches in flight) and committed + forced."""
+    took it: (t, cache, return times of the fetches in flight) and
+    committed + forced."""
     rng = random.Random(9)
     decisions = 0
     for run in range(400):
@@ -180,9 +181,11 @@ def test_branch_keys_and_bounds_match_a_cloned_eviction():
             for choice, key, bound in branches:
                 taken = sim.clone()
                 taken.apply_eviction(returned, choice)
-                assert key == (
-                    taken.t, frozenset(taken.cache), frozenset(taken.fetches.items())
-                )
+                assert key == (taken.t, frozenset(taken.cache), tuple(taken.fetches))
+                # the return times fix the items: each fetch carries the
+                # item requested delay - 1 steps before it returns
+                for r, item in taken.fetches.items():
+                    assert item == sequence[r - params.delay]
                 assert bound == taken.committed + forced(taken)
             victim = policy.choose_eviction(sim.t, returned, sim.cache.keys())
             sim.apply_eviction(returned, victim)
