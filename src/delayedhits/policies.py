@@ -16,22 +16,24 @@ that miss whatever is evicted later) reaches the best total found,
 keeping the first witness, or exceeds it, keeping ties. A ``limit``
 starts the best total just above it. The feasibility search passes its
 target's closed-form latency, which every run realizing the target costs
-exactly, and it also cuts an eviction at once when the victim must miss
-a request the target marks as a hit. The first-deviation search keeps
-its limit fixed and stops at the first run whose hit bits leave a given
-vector: no such run at the vector's own cost means that vector is the
-unique optimum (Lawler's K = 2 question), with no set of optima built. A
-transposition table maps (t, cache, return times of the fetches in
-flight), which fixes every future cost and hit bit of a run of the
-searched trace, to the least committed latency seen there, and cuts
-revisits that can do no better; the first-deviation search adds to the
-key whether the run has left its vector. It holds at most k+1 entries
-per decision node, so the node budget bounds its memory. A node settles
-all three cuts for each of its choices from the paused run, since a
-choice only swaps the returned item for the victim; only the choices
-that survive are cloned, and the bound is tested again, against the best
-total by then, when a choice is taken. The searches are exact and refuse
-oversized instances.
+exactly, and drops a run as soon as its hit bits leave the target. The
+first-deviation search keeps its limit fixed and stops at the first run
+whose hit bits leave a given vector: no such run at the vector's own
+cost means that vector is the unique optimum (Lawler's K = 2 question),
+with no set of optima built. A transposition table maps (t, cache,
+return times of the fetches in flight), which fixes every future cost
+and hit bit of a run of the searched trace, to the least committed
+latency seen there, and cuts revisits that can do no better; the
+first-deviation search adds to the key whether the run has left its
+vector. It holds at most k+1 entries per decision node, so the node
+budget bounds its memory. A node settles both cuts for each of its
+choices from the paused run, since a choice only swaps the returned item
+for the victim. The bound goes first, so the table keeps only the
+choices that are taken: a key fixes the forced latency and the best
+total only falls, so the bound would cut again any revisit the table
+would have cut. Only the choices that survive are cloned, and the bound
+is tested again, against the best total by then, when a choice is
+taken. The searches are exact and refuse oversized instances.
 """
 
 from __future__ import annotations
@@ -247,33 +249,28 @@ class OptResult(namedtuple("OptResult", "min_latency witness_evictions witness_h
     __slots__ = ()
 
 
-def _miss_window(sim, item, times, delay):
-    """(lo, hi, r): non-resident ``item`` stays out until a fetch of it returns
-    at r, the one in flight or else the one its next request s1 dispatches,
-    r = s1 + delay - 1, so its requests in (t, r], times[lo:hi], must miss.
-    It reads only ``sim.t`` and ``sim.fetch_times``, which an eviction leaves
-    as they are."""
-    lo = bisect_right(times, sim.t)
-    if lo == len(times):
-        return lo, lo, 0
-    flight = sim.fetch_times.get(item)
-    end = flight[0] if flight else times[lo] + delay - 1
-    return lo, bisect_right(times, end, lo), end
-
-
 def _forced_terms(params, requests):
     """terms(sim): each requested item's term of the forced latency, were it
     not resident: r - s + 1 for each request at s in its miss window, summed
     in O(log T) per item from its request times, ``requests`` as
-    :func:`request_times` gives them, and prefix sums."""
+    :func:`request_times` gives them, and prefix sums. Items with no request
+    after ``sim.t`` have no term."""
     table = [(item, times, [0, *accumulate(times)]) for item, times in requests.items()]
     delay = params.delay
 
     def terms(sim):
         shares = {}
         for item, times, prefix in table:
-            lo, hi, end = _miss_window(sim, item, times, delay)
-            shares[item] = (hi - lo) * (end + 1) - (prefix[hi] - prefix[lo])
+            lo = bisect_right(times, sim.t)
+            if lo < len(times):
+                # out of the cache, the item stays out until a fetch of it
+                # returns at r, the one in flight or else the one its next
+                # request dispatches; its requests in (t, r], times[lo:hi],
+                # must miss. An eviction changes neither t nor the fetches.
+                flight = sim.fetch_times.get(item)
+                r = flight[0] if flight else times[lo] + delay - 1
+                hi = bisect_right(times, r, lo)
+                shares[item] = (hi - lo) * (r + 1) - (prefix[hi] - prefix[lo])
         return shares
 
     return terms
@@ -292,7 +289,7 @@ def _branches(sim, returned, terms):
     fetches = tuple(sim.fetches)
     share = terms(sim)
     declined = sim.committed + sum(v for item, v in share.items() if item not in cache)
-    swapped = declined - share[returned]
+    swapped = declined - share.get(returned, 0)
     yield 0, (sim.t, cache, fetches), declined
     for victim in sorted(cache):
         yield victim, (sim.t, grown - {victim}, fetches), swapped + share.get(victim, 0)
@@ -310,18 +307,10 @@ def _search(params, sequence, node_budget, cut, target=None, limit=None, avoid=N
     and the search stops at the first run that leaves it.
     """
     validate_sequence(params, sequence)
-    requests = request_times(sequence)
-    pinned = {}
     follow = target if target is not None else avoid
     if follow is not None:
         follow = normalize_hit_bits(sequence, follow)
-    if target is not None:
-        # each item's request times, and prefix counts of the target's hits there
-        pinned = {
-            item: (times, [0, *accumulate(follow[s - 1] for s in times)])
-            for item, times in requests.items()
-        }
-    terms = _forced_terms(params, requests)
+    terms = _forced_terms(params, request_times(sequence))
     seen, optima = {}, {}
     nodes, best = 0, _NEVER if limit is None else limit + 1
     done = False
@@ -357,17 +346,16 @@ def _search(params, sequence, node_budget, cut, target=None, limit=None, avoid=N
         return None, deviated
 
     def survivors(sim, returned, deviated):
-        """The choices at a decision that no cut settles on the spot, each
-        with its bound, in pop order. Every descendant decides later, so no
-        key of this time is read or written before the choices are popped."""
+        """The choices at a decision that neither cut settles on the spot,
+        each with its bound, in pop order. The bound goes first, so only
+        the choices taken enter the table: a revisit the table would cut
+        has no smaller bound, and ``best`` only falls. Every descendant
+        decides later, so no key of this time is read or written before
+        the choices are popped."""
         kept = []
         for choice, key, bound in _branches(sim, returned, terms):
-            if choice in pinned:
-                # a hit the target wants in the victim's miss window cannot happen
-                times, hits = pinned[choice]
-                lo, hi, _ = _miss_window(sim, choice, times, params.delay)
-                if hits[hi] > hits[lo]:
-                    continue
+            if cut(bound, best):
+                continue
             if avoid is not None:
                 # runs that share a key but not the flag count different leaves
                 key = key, deviated
@@ -375,8 +363,6 @@ def _search(params, sequence, node_budget, cut, target=None, limit=None, avoid=N
             if stored is not None and cut(sim.committed, stored):
                 continue
             seen[key] = sim.committed
-            if cut(bound, best):
-                continue
             kept.append((bound, choice))
         kept.reverse()
         return kept

@@ -1,5 +1,7 @@
 """The extra-hit-hurts construction and its verified claims."""
 
+import operator
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -126,14 +128,15 @@ def test_search_witnesses_replay_to_their_vectors():
     assert tuple(run.hit_sequence) == cspec.extra_hit_bits
 
 
-def test_feasibility_search_cuts_pinned_evictions_early(monkeypatch):
+def test_feasibility_bound_cuts_wrong_evictions_at_the_decision(monkeypatch):
     """A wrong eviction of an item the baseline hits must be cut when it is
     made, not thousands of steps later when the item's block arrives.
 
     Counted in timesteps (``Simulation.step`` calls), not seconds or
-    decision nodes: the cut leaves the decision nodes as they were and
-    shortens the runs between them. Without it this search makes 722 840
-    steps; with it, 76 156."""
+    decision nodes. The search's limit is the baseline's closed-form
+    latency, and the misses a wrong eviction forces raise its bound past
+    that limit at the decision itself, so no choice but the witness's runs
+    a step: the search makes 2520 steps, one per request."""
     calls = 0
     step = Simulation.step
 
@@ -152,6 +155,27 @@ def test_feasibility_search_cuts_pinned_evictions_early(monkeypatch):
     monkeypatch.undo()
     run = replay(cspec.params(), list(cspec.sequence), witness)
     assert tuple(run.hit_sequence) == cspec.baseline_bits
+
+
+def test_first_deviation_table_holds_only_taken_choices():
+    """The bound is tested before the transposition table, so the table
+    stores a key only for a choice the search takes. Counted in traced
+    bytes, not seconds: at (160, 52) the first-deviation search peaks at
+    about 1.8 MB. Storing the k-item key of every choice before the bound
+    cut it peaked at 11.7 MB, for the same 84 nodes."""
+    cspec = counterexample_sequence(160, 52)
+    seq, bits = list(cspec.sequence), list(cspec.baseline_bits)
+    low, _ = delayed_hits_latency(seq, cspec.delay, bits)
+    tracemalloc.start()
+    try:
+        _, runs, nodes = policies._search(cspec.params(), seq, 10**6, operator.ge,
+                                          limit=low, avoid=bits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert runs.keys() == {cspec.baseline_bits}
+    assert nodes == 84
+    assert peak < 4 * 2**20
 
 
 def test_exhaustive_optimum_at_spec_point():

@@ -234,9 +234,9 @@ def test_search_node_count_on_counterexample():
 
 
 def test_search_clones_only_surviving_choices(monkeypatch):
-    """A choice that the table, the bound or the target cut settles at its
-    decision node is never cloned. Counted in clones, not seconds: 224
-    when every choice was cloned before its cuts were tested, 19 now."""
+    """A choice that the bound or the table settles at its decision node
+    is never cloned. Counted in clones, not seconds: 224 when every choice
+    was cloned before its cuts were tested, 19 now."""
     clones = 0
     clone = Simulation.clone
 
@@ -253,8 +253,8 @@ def test_search_clones_only_surviving_choices(monkeypatch):
 
 
 def test_feasibility_search_reads_the_trace_once(monkeypatch):
-    """One feasibility search builds each item's request times once and
-    both its forced-latency bound and its pinned-hit cut read that table."""
+    """One feasibility search builds each item's request times once, for
+    its forced-latency bound, and walks the trace for no other table."""
     calls = 0
     request_times = delayedhits.policies.request_times
 

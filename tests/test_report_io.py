@@ -92,7 +92,17 @@ def test_writer_matches_json_dumps(value):
     ],
 )
 def test_writer_matches_json_dumps_on_edge_values(value):
-    assert chunked_dump(value) == reference_dump(value)
+    got, want = chunked_dump(value), reference_dump(value)
+    if got != want:
+        # compared here, not in an assert: pytest's diff of two strings of
+        # 100 kB and more runs for minutes
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        window = slice(max(at - 40, 0), at + 40)
+        pytest.fail(
+            f"lengths {len(got)} and {len(want)}, first difference at {at}:\n"
+            f"  writer:     {got[window]!r}\n  json.dumps: {want[window]!r}"
+        )
 
 
 def test_writer_memory_is_bounded_by_a_slice():

@@ -103,9 +103,10 @@ def tiny_instances_with_bits(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(tiny_instances_with_bits())
-# instances on which a target cut that ignores fetches in flight shows: the
+# instances on which a miss window that ignores fetches in flight shows: the
 # victim's fetch returns before its next request + delay - 1, so a request
-# in between can hit again
+# in between can hit again; a forced latency that ignored that fetch would
+# overestimate and cut the run that realizes the target
 @example((ModelParams(5, 2, 4), [5, 3, 5, 5, 2, 5, 5], [1] * 7))
 @example((ModelParams(2, 1, 2, ANTIMONOTONE), [2, 1, 1, 1], [1] * 4))
 def test_feasibility_matches_enumeration(instance):
