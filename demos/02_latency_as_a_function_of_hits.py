@@ -20,7 +20,7 @@ from delayedhits import (
     simulate,
 )
 from delayedhits.policies import RandomEvictionPolicy
-from delayedhits.traces import random_sequence
+from delayedhits.traces import draw_instance, random_sequence
 
 
 def main():
@@ -44,10 +44,7 @@ def main():
     rng = random.Random(2)
     checked = 0
     for case in range(400):
-        k = rng.randint(1, 4)
-        delay = rng.randint(1, 8)
-        n = k + rng.randint(1, 4)
-        seq = random_sequence(rng, n, rng.randint(1, 50))
+        k, delay, n, seq = draw_instance(rng)
         policy = RandomEvictionPolicy(rng.randrange(2**30))
         for mode, closed_form in (
             ("standard", delayed_hits_latency),

@@ -23,7 +23,6 @@ from .policies import (
     DEFAULT_SEARCH_BUDGET,
     SearchBudgetExceeded,
     brute_force_opt,
-    is_hit_sequence_feasible,
     optimal_hit_sequences,
 )
 
@@ -212,17 +211,19 @@ def verify_nonantimonotonicity(
     settled = runs is not None and runs.keys() == {baseline}
     step = "baseline feasibility"
     try:
-        if settled:
-            witness = runs[baseline]
-        else:
-            ok, witness = is_hit_sequence_feasible(params, seq, b, node_budget)
-            if not ok:
+        # each feasibility search is is_hit_sequence_feasible's, handed the
+        # closed-form latency computed above as its limit
+        if not settled:
+            _, runs, _ = policies._search(params, seq, node_budget, operator.ge, b, low)
+            if not runs:
                 raise VerificationError("baseline hit sequence is not feasible")
+        (witness,) = runs.values()
         report = report._replace(baseline_witness=witness)
         step = "extra-hit feasibility"
-        ok, witness = is_hit_sequence_feasible(params, seq, b_hi, node_budget)
-        if not ok:
+        _, runs, _ = policies._search(params, seq, node_budget, operator.ge, b_hi, high)
+        if not runs:
             raise VerificationError("extra-hit hit sequence is not feasible")
+        (witness,) = runs.values()
         report = report._replace(extra_hit_witness=witness)
         if not check_optimal:
             return report

@@ -28,12 +28,13 @@ first-deviation search adds to the key whether the run has left its
 vector. It holds at most k+1 entries per decision node, so the node
 budget bounds its memory. A node settles both cuts for each of its
 choices from the paused run, since a choice only swaps the returned item
-for the victim. The bound goes first, so the table keeps only the
-choices that are taken: a key fixes the forced latency and the best
-total only falls, so the bound would cut again any revisit the table
-would have cut. Only the choices that survive are cloned, and the bound
-is tested again, against the best total by then, when a choice is
-taken. The searches are exact and refuse oversized instances.
+for the victim. The bound goes first, so a key is built, and the table
+keeps it, only for a choice the bound lets through: a key fixes the
+forced latency and the best total only falls, so the bound would cut
+again any revisit the table would have cut. Only the choices that
+survive are cloned, and the bound is tested again, against the best
+total by then, when a choice is taken. The searches are exact and
+refuse oversized instances.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from collections.abc import Set as AbstractSet
 from itertools import accumulate
 
 from .model import ANTIMONOTONE, ModelParams, Simulation, validate_sequence
-from .latency import antimonotone_latency, delayed_hits_latency, normalize_hit_bits
+from .latency import antimonotone_latency, delayed_hits_latency
 from .traces import request_times
 
 DEFAULT_SEARCH_BUDGET = 2**22
@@ -277,22 +278,29 @@ def _forced_terms(params, requests):
 
 
 def _branches(sim, returned, terms):
-    """(choice, key, bound) for each choice at the decision ``sim`` is paused
-    at, decline first and then each resident in ascending order: the
-    transposition key and committed + forced of the run after
-    ``apply_eviction(returned, choice)``, derived from the paused run. A
-    choice only swaps ``returned`` for the victim, so no clone is needed."""
-    cache = frozenset(sim.cache)
-    grown = cache | {returned}
-    # the return times alone: the fetch returning at r carries the item
-    # requested at r - delay + 1, and insertion order is return order
-    fetches = tuple(sim.fetches)
-    share = terms(sim)
+    """(choice, bound) for each choice at the decision ``sim`` is paused at,
+    decline first and then each resident in ascending order: committed +
+    forced of the run after ``apply_eviction(returned, choice)``, derived
+    from the paused run. A choice only swaps ``returned`` for the victim,
+    so no clone is needed."""
+    cache, share = sim.cache, terms(sim)
     declined = sim.committed + sum(v for item, v in share.items() if item not in cache)
     swapped = declined - share.get(returned, 0)
-    yield 0, (sim.t, cache, fetches), declined
+    yield 0, declined
     for victim in sorted(cache):
-        yield victim, (sim.t, grown - {victim}, fetches), swapped + share.get(victim, 0)
+        yield victim, swapped + share.get(victim, 0)
+
+
+def _key(sim, returned, choice):
+    """The transposition key of the run after ``apply_eviction(returned,
+    choice)``, derived from the paused run: (t, cache, the return times of
+    the fetches in flight). The return times alone: the fetch returning at
+    r carries the item requested at r - delay + 1, and insertion order is
+    return order."""
+    cache = frozenset(sim.cache)
+    if choice:
+        cache = cache.difference((choice,)).union((returned,))
+    return sim.t, cache, tuple(sim.fetches)
 
 
 def _search(params, sequence, node_budget, cut, target=None, limit=None, avoid=None):
@@ -304,12 +312,12 @@ def _search(params, sequence, node_budget, cut, target=None, limit=None, avoid=N
     is kept. With ``target`` bits the search stops at the first run that
     realizes them. With ``avoid`` bits, under ``ge`` and a ``limit``,
     ``best`` never moves: the first run that stays on ``avoid`` is kept,
-    and the search stops at the first run that leaves it.
+    and the search stops at the first run that leaves it. The bits are
+    read at requests only, and taken as valid: each caller has already
+    walked them through the closed form that gave its ``limit``.
     """
     validate_sequence(params, sequence)
     follow = target if target is not None else avoid
-    if follow is not None:
-        follow = normalize_hit_bits(sequence, follow)
     terms = _forced_terms(params, request_times(sequence))
     seen, optima = {}, {}
     nodes, best = 0, _NEVER if limit is None else limit + 1
@@ -323,9 +331,10 @@ def _search(params, sequence, node_budget, cut, target=None, limit=None, avoid=N
         nonlocal best, done
         while sim.t < len(sequence):
             pos = sim.t
-            returned = sim.step(sequence[pos])
+            item = sequence[pos]
+            returned = sim.step(item)
             if (follow is not None and not deviated
-                    and (sim.per_request_latency[pos] == 0) != follow[pos]):
+                    and item and (sim.per_request_latency[pos] == 0) != follow[pos]):
                 if target is not None:
                     return None, False
                 deviated = True
@@ -348,14 +357,15 @@ def _search(params, sequence, node_budget, cut, target=None, limit=None, avoid=N
     def survivors(sim, returned, deviated):
         """The choices at a decision that neither cut settles on the spot,
         each with its bound, in pop order. The bound goes first, so only
-        the choices taken enter the table: a revisit the table would cut
-        has no smaller bound, and ``best`` only falls. Every descendant
-        decides later, so no key of this time is read or written before
-        the choices are popped."""
+        the choices taken get a key and enter the table: a revisit the
+        table would cut has no smaller bound, and ``best`` only falls.
+        Every descendant decides later, so no key of this time is read or
+        written before the choices are popped."""
         kept = []
-        for choice, key, bound in _branches(sim, returned, terms):
+        for choice, bound in _branches(sim, returned, terms):
             if cut(bound, best):
                 continue
+            key = _key(sim, returned, choice)
             if avoid is not None:
                 # runs that share a key but not the flag count different leaves
                 key = key, deviated

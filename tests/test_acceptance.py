@@ -18,6 +18,7 @@ from delayedhits import (
     LruPolicy,
     ModelParams,
     NeverCachePolicy,
+    ReductionPolicy,
     StaticPolicy,
     antimonotone_latency,
     brute_force_opt,
@@ -30,7 +31,7 @@ from delayedhits import (
     verify_domination,
 )
 from delayedhits.policies import draw_policy
-from delayedhits.traces import random_sequence
+from delayedhits.traces import draw_instance, random_sequence
 
 
 @contextmanager
@@ -58,10 +59,7 @@ def test_criterion_1_latency_function_equivalence():
     with criterion(1, "latency-function equivalence on 1000 seeded runs", 10):
         rng = random.Random(20260810)
         for _ in range(1000):
-            k = rng.randint(1, 4)
-            delay = rng.randint(1, 8)
-            n = k + rng.randint(1, 4)          # never above 8
-            seq = random_sequence(rng, n, rng.randint(1, 50))
+            k, delay, n, seq = draw_instance(rng)   # n never above 8
             policy = draw_policy(rng, seq, k, n)
             for mode, closed_form in (
                 (STANDARD, delayed_hits_latency),
@@ -159,7 +157,16 @@ def test_criterion_5_fetch_on_hit_antimonotonicity():
             assert high <= low
 
 
-def test_criterion_6_reduction_domination():
+def test_criterion_6_reduction_domination(monkeypatch):
+    decisions = 0
+    rule = ReductionPolicy.choose_eviction
+
+    def counted(self, t, item, cache):
+        nonlocal decisions
+        decisions += 1
+        return rule(self, t, item, cache)
+
+    monkeypatch.setattr(ReductionPolicy, "choose_eviction", counted)
     with criterion(6, "wrapped policy never does worse at any request", 30):
         rng = random.Random(6066)
         for _ in range(1000):
@@ -170,6 +177,22 @@ def test_criterion_6_reduction_domination():
             inner = LruPolicy() if rng.random() < 0.5 else FifoPolicy()
             report = verify_domination(seq, inner, ModelParams(n, k, delay))
             assert report.outer_total <= report.inner_total
+        # a universe of at most k + delay items fits in the wrapper's cache,
+        # so most cases above never reach its eviction rule; this batch
+        # draws n above k + delay, as check --suite reduction does
+        rng = random.Random(6067)
+        reached = 0
+        for _ in range(1000):
+            k = rng.randint(1, 3)
+            delay = rng.randint(1, 6)
+            n = k + delay + rng.randint(1, 4)
+            seq = random_sequence(rng, n, rng.randint(20, 200))
+            inner = LruPolicy() if rng.random() < 0.5 else FifoPolicy()
+            before = decisions
+            report = verify_domination(seq, inner, ModelParams(n, k, delay))
+            assert report.outer_total <= report.inner_total
+            reached += decisions > before
+        assert reached >= 3 * 1000 // 4
 
 
 def test_criterion_7_delay_one_classical_collapse():
@@ -178,10 +201,7 @@ def test_criterion_7_delay_one_classical_collapse():
         for _ in range(500):
             k = rng.randint(1, 3)
             n = k + rng.randint(1, 3)
-            seq = [
-                0 if rng.random() < 0.15 else rng.randint(1, n)
-                for _ in range(rng.randint(1, 14))
-            ]
+            seq = random_sequence(rng, n, rng.randint(1, 14), 0.15)
             params = ModelParams(n, k, 1)
             run = simulate(params, seq, draw_policy(rng, seq, k, n))
             misses = sum(

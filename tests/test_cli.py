@@ -16,7 +16,7 @@ import pytest
 
 from delayedhits import InfeasibleEvictionError, ReductionPolicy, VerificationError, cli, policies
 from delayedhits.cli import main
-from delayedhits.traces import random_sequence, read_trace
+from delayedhits.traces import random_sequence, read_trace, write_trace
 
 
 def run_cli(capsys, *argv):
@@ -31,7 +31,7 @@ def run_cli(capsys, *argv):
 
 
 def write_lines(path, items):
-    path.write_text("".join(f"{i}\n" for i in items))
+    write_trace(path, items)
     return str(path)
 
 
@@ -408,7 +408,7 @@ def test_check_output_is_deterministic(capsys):
 def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
     """The parser is built on the first call only; later calls reuse it and
     give the bytes a fresh parser gives, with no option carried over."""
-    trace = _seeded_trace(tmp_path / "t.txt", 5, 6, 60)
+    trace = write_lines(tmp_path / "t.txt", random_sequence(random.Random(5), 6, 60))
     out = tmp_path / "report.json"
     calls = [
         ["check", "--suite", "reduction", "--cases", "12", "--seed", "7"],
@@ -496,14 +496,6 @@ def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
     assert out.read_bytes() == stdout
 
 
-def _seeded_trace(path, seed, num_items, length):
-    rng = random.Random(seed)
-    items = [
-        0 if rng.random() < 0.25 else rng.randint(1, num_items) for _ in range(length)
-    ]
-    return write_lines(path, items)
-
-
 # sha256 of the full stdout of each command, pinned from the json.dumps
 # writer; any change to a report's bytes, format or content, shows here
 @pytest.mark.parametrize(
@@ -545,7 +537,7 @@ def _seeded_trace(path, seed, num_items, length):
          "adversary-static"],
 )
 def test_report_bytes_are_pinned(tmp_path, capsys, argv, digest):
-    trace = _seeded_trace(tmp_path / "t.txt", 2024, 40, 2000)
+    trace = write_lines(tmp_path / "t.txt", random_sequence(random.Random(2024), 40, 2000))
     assert main([trace if arg == "TRACE" else arg for arg in argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -591,7 +583,7 @@ def test_counterexample_report_bytes_are_pinned(capsys, argv, code, digest):
 def test_report_bytes_are_pinned_past_two_int_slices(tmp_path, capsys, policy, digest):
     # 9000 requests: each result vector spans three of the writer's slices
     assert 9000 > 2 * cli._INT_SLICE + 1
-    trace = _seeded_trace(tmp_path / "t.txt", 2024, 40, 9000)
+    trace = write_lines(tmp_path / "t.txt", random_sequence(random.Random(2024), 40, 9000))
     argv = ["simulate", trace, "-n", "40", "-k", "6", "-Z", "9", "--policy", policy]
     assert main(argv) == 0
     out = capsys.readouterr().out

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import pytest
 
+from delayedhits.traces import write_trace
+
 resource = pytest.importorskip("resource")
 if not hasattr(os, "fork"):
     pytest.skip("the rows run in forked children", allow_module_level=True)
@@ -111,7 +113,7 @@ def _argv(base, flag, value, trace):
 @pytest.fixture(scope="module")
 def outcomes(tmp_path_factory):
     trace = tmp_path_factory.mktemp("sweep") / "t.txt"
-    trace.write_text("".join(f"{item}\n" for item in TRACE))
+    write_trace(trace, TRACE)
     rows = [_argv(base, flag, value, str(trace)) for base, flag, value, _ in ROWS]
     child = subprocess.run(
         [sys.executable, "-c", _ROW_RUNNER], input=json.dumps(rows),

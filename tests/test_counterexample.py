@@ -19,7 +19,7 @@ from delayedhits import (
     replay,
     verify_nonantimonotonicity,
 )
-from delayedhits import counterexample, policies
+from delayedhits import counterexample, latency, policies
 from delayedhits.model import Simulation, VerificationError
 
 
@@ -176,6 +176,32 @@ def test_first_deviation_table_holds_only_taken_choices():
     assert runs.keys() == {cspec.baseline_bits}
     assert nodes == 84
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("check_optimal", [True, False], ids=["optimal", "feasibility"])
+def test_a_certificate_walks_each_closed_form_once(monkeypatch, check_optimal):
+    """The verifier walks its four closed forms once each and hands every
+    bounded search the latency it computed, so no search walks a closed
+    form again or validates its bits a second time."""
+    walks = normalizations = 0
+    walk, normalize = latency._latency, latency.normalize_hit_bits
+
+    def counted_walk(*args, **kwargs):
+        nonlocal walks
+        walks += 1
+        return walk(*args, **kwargs)
+
+    def counted_normalize(sequence, bits):
+        nonlocal normalizations
+        normalizations += 1
+        return normalize(sequence, bits)
+
+    monkeypatch.setattr(latency, "_latency", counted_walk)
+    for module in (latency, policies, counterexample):
+        if hasattr(module, "normalize_hit_bits"):
+            monkeypatch.setattr(module, "normalize_hit_bits", counted_normalize)
+    verify_nonantimonotonicity(counterexample_sequence(26, 7), check_optimal)
+    assert (walks, normalizations) == (4, 0)
 
 
 def test_exhaustive_optimum_at_spec_point():

@@ -22,7 +22,7 @@ from delayedhits import (
     simulate,
 )
 from delayedhits.policies import POLICIES, SearchBudgetExceeded, draw_policy
-from delayedhits.traces import draw_instance
+from delayedhits.traces import draw_instance, random_sequence
 
 
 def test_lru_evicts_least_recently_requested():
@@ -89,10 +89,7 @@ def test_belady_is_optimal_at_delay_one():
     for _ in range(60):
         k = rng.randint(1, 3)
         n = k + rng.randint(1, 2)
-        seq = [
-            0 if rng.random() < 0.15 else rng.randint(1, n)
-            for _ in range(rng.randint(1, 14))
-        ]
+        seq = random_sequence(rng, n, rng.randint(1, 14), 0.15)
         params = ModelParams(n, k, 1)
         mine = simulate(params, seq, BeladyPolicy(seq)).total_latency
         assert mine == brute_force_opt(params, seq).min_latency

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from delayedhits.cli import main
+from delayedhits.traces import random_sequence, write_trace
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, re.M | re.S)
@@ -30,9 +31,7 @@ def test_readme_shows_every_command():
 def test_readme_command_exits_0(tmp_path, monkeypatch, capsys, argv):
     # run where the examples' relative paths, trace.txt among them, resolve
     monkeypatch.chdir(tmp_path)
-    rng = random.Random(1)
-    items = [0 if rng.random() < 0.25 else rng.randint(1, 5) for _ in range(200)]
-    Path("trace.txt").write_text("".join(f"{item}\n" for item in items))
+    write_trace("trace.txt", random_sequence(random.Random(1), 5, 200))
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
 

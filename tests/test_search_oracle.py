@@ -25,7 +25,7 @@ from delayedhits import (
     replay,
 )
 from delayedhits.latency import normalize_hit_bits
-from delayedhits.policies import RandomEvictionPolicy, _branches, _forced_terms, _search
+from delayedhits.policies import RandomEvictionPolicy, _branches, _forced_terms, _key, _search
 from delayedhits.traces import random_sequence, request_times
 
 
@@ -178,10 +178,11 @@ def test_branch_keys_and_bounds_match_a_cloned_eviction():
                 continue
             decisions += 1
             branches = list(_branches(sim, returned, terms))
-            assert [choice for choice, _, _ in branches] == [0, *sorted(sim.cache)]
-            for choice, key, bound in branches:
+            assert [choice for choice, _ in branches] == [0, *sorted(sim.cache)]
+            for choice, bound in branches:
                 taken = sim.clone()
                 taken.apply_eviction(returned, choice)
+                key = _key(sim, returned, choice)
                 assert key == (taken.t, frozenset(taken.cache), tuple(taken.fetches))
                 # the return times fix the items: each fetch carries the
                 # item requested delay - 1 steps before it returns
@@ -216,7 +217,7 @@ def test_a_choice_commits_no_more_than_its_bound_before_the_next_decision():
             policy.observe(sim.t, item, hit)
             if not sim.needs_decision(returned):
                 continue
-            for choice, _, bound in _branches(sim, returned, terms):
+            for choice, bound in _branches(sim, returned, terms):
                 taken = sim.clone()
                 taken.apply_eviction(returned, choice)
                 while taken.t < len(sequence):
