@@ -44,7 +44,9 @@ def main():
     for _ in range(500):
         k = rng.randint(1, 3)
         delay = rng.randint(1, 6)
-        n = rng.randint(2, 8)
+        # more items than the wrapper's k + delay slots, so its eviction
+        # rule gets to run
+        n = k + delay + rng.randint(1, 4)
         seq = random_sequence(rng, n, rng.randint(20, 120))
         inner = LruPolicy() if rng.random() < 0.5 else FifoPolicy()
         rep = verify_domination(seq, inner, ModelParams(n, k, delay))

@@ -24,26 +24,17 @@ from __future__ import annotations
 from collections import defaultdict
 
 
-def normalize_hit_bits(sequence, bits) -> list[int]:
-    """Validate the bit vector and pin idle-slot bits to 1."""
-    if len(bits) != len(sequence):
-        raise ValueError(
-            f"hit sequence length {len(bits)} != trace length {len(sequence)}"
-        )
-    out = []
-    for item, bit in zip(sequence, bits):
-        if bit not in (0, 1):
-            raise ValueError(f"hit bits must be 0 or 1, got {bit!r}")
-        out.append(1 if item == 0 else bit)
-    return out
-
-
 def _latency(sequence, delay, bits, fetch_on_hit) -> tuple[int, list[int]]:
     """The rule above in one walk: each item keeps its dispatch times in a
     list with a cursor at the oldest one still in flight. Idle slots are
     skipped, so their bits are only checked, never pinned."""
-    if len(bits) != len(sequence) or bits.count(0) + bits.count(1) != len(bits):
-        normalize_hit_bits(sequence, bits)  # raises its error for the bad vector
+    if len(bits) != len(sequence):
+        raise ValueError(
+            f"hit sequence length {len(bits)} != trace length {len(sequence)}"
+        )
+    if bits.count(0) + bits.count(1) != len(bits):
+        bad = next(bit for bit in bits if bit not in (0, 1))
+        raise ValueError(f"hit bits must be 0 or 1, got {bad!r}")
     per = [0] * len(sequence)
     dispatched = defaultdict(lambda: [0, []])
     for t, (item, hit) in enumerate(zip(sequence, bits), start=1):

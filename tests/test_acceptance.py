@@ -157,16 +157,8 @@ def test_criterion_5_fetch_on_hit_antimonotonicity():
             assert high <= low
 
 
-def test_criterion_6_reduction_domination(monkeypatch):
-    decisions = 0
-    rule = ReductionPolicy.choose_eviction
-
-    def counted(self, t, item, cache):
-        nonlocal decisions
-        decisions += 1
-        return rule(self, t, item, cache)
-
-    monkeypatch.setattr(ReductionPolicy, "choose_eviction", counted)
+def test_criterion_6_reduction_domination(calls):
+    decisions = calls(ReductionPolicy, "choose_eviction")
     with criterion(6, "wrapped policy never does worse at any request", 30):
         rng = random.Random(6066)
         for _ in range(1000):
@@ -188,10 +180,10 @@ def test_criterion_6_reduction_domination(monkeypatch):
             n = k + delay + rng.randint(1, 4)
             seq = random_sequence(rng, n, rng.randint(20, 200))
             inner = LruPolicy() if rng.random() < 0.5 else FifoPolicy()
-            before = decisions
+            before = len(decisions)
             report = verify_domination(seq, inner, ModelParams(n, k, delay))
             assert report.outer_total <= report.inner_total
-            reached += decisions > before
+            reached += len(decisions) > before
         assert reached >= 3 * 1000 // 4
 
 

@@ -174,24 +174,16 @@ def test_witness_item_is_never_bursted():
     assert report.opt_witness_item not in bursted
 
 
-def test_construction_steps_one_run_forward(monkeypatch):
+def test_construction_steps_one_run_forward(calls):
     """The trace is built from one run stepped a segment at a time, not by
     re-simulating every prefix. Counted in timesteps (``Simulation.step``
     calls): 3516 with a re-run per segment at k=10, Z=16; now 1491, the
     build's run up to the last segment plus the policy's and the witness's
     full runs."""
-    calls = 0
-    step = Simulation.step
-
-    def counting(self, item, policy=None):
-        nonlocal calls
-        calls += 1
-        return step(self, item, policy)
-
-    monkeypatch.setattr(Simulation, "step", counting)
+    steps = calls(Simulation, "step")
     report = build_adversarial_sequence(LruPolicy(), ModelParams(11, 10, 16))
     assert len(report.sequence) == 513
-    assert calls <= 2000
+    assert len(steps) <= 2000
 
 
 class CachesFromSecondReset(LruPolicy):

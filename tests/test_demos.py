@@ -22,7 +22,7 @@ DIGESTS = {
     "04_when_a_hit_hurts.py":
         "7b8213139d4d0d1c4dfeb06dc5ccf0f87e61310c2c211676a7e79ae17c28217e",
     "05_reduction_to_bigger_cache.py":
-        "4362093ba0c3ed61524f67d309310a7f3aa12d973c98ed1c1d82e0c4d2718a16",
+        "5c570dfbb6b259e12cb4464d013e27aaaa4acd15f2a03a727086e235de3a7617",
 }
 
 

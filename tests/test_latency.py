@@ -55,17 +55,20 @@ def test_idle_bits_are_normalized():
 
 
 def test_length_mismatch_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^hit sequence length 1 != trace length 2$"):
         delayed_hits_latency([1, 2], 3, [0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^hit sequence length 3 != trace length 2$"):
         antimonotone_latency([1, 2], 3, [0, 0, 1])
     with pytest.raises(ValueError):
         dominates([0, 1], [1])
 
 
 def test_non_binary_bits_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^hit bits must be 0 or 1, got 2$"):
         delayed_hits_latency([1], 2, [2])
+    # the first bad bit is named, an idle slot's included
+    with pytest.raises(ValueError, match=r"^hit bits must be 0 or 1, got -1$"):
+        antimonotone_latency([0, 1, 2], 2, [-1, 1, 5])
 
 
 def test_delay_one_counts_misses():

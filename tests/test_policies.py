@@ -230,42 +230,26 @@ def test_search_node_count_on_counterexample():
     assert 0 < opt.nodes <= 32
 
 
-def test_search_clones_only_surviving_choices(monkeypatch):
+def test_search_clones_only_surviving_choices(calls):
     """A choice that the bound or the table settles at its decision node
     is never cloned. Counted in clones, not seconds: 224 when every choice
     was cloned before its cuts were tested, 19 now."""
-    clones = 0
-    clone = Simulation.clone
-
-    def counting(self):
-        nonlocal clones
-        clones += 1
-        return clone(self)
-
-    monkeypatch.setattr(Simulation, "clone", counting)
+    clones = calls(Simulation, "clone")
     spec = counterexample_sequence(26, 7)
     opt = brute_force_opt(spec.params(), list(spec.sequence))
     assert (opt.min_latency, opt.nodes) == (169, 32)
-    assert clones <= 100
+    assert len(clones) <= 100
 
 
-def test_feasibility_search_reads_the_trace_once(monkeypatch):
+def test_feasibility_search_reads_the_trace_once(calls):
     """One feasibility search builds each item's request times once, for
     its forced-latency bound, and walks the trace for no other table."""
-    calls = 0
-    request_times = delayedhits.policies.request_times
-
-    def counting(sequence):
-        nonlocal calls
-        calls += 1
-        return request_times(sequence)
-
-    monkeypatch.setattr(delayedhits.policies, "request_times", counting)
+    reads = calls(delayedhits.policies, "request_times")
     spec = counterexample_sequence(26, 7)
     targets = (spec.baseline_bits, spec.extra_hit_bits, [0] * len(spec.sequence))
     for searches, bits in enumerate(targets, start=1):
         is_hit_sequence_feasible(spec.params(), list(spec.sequence), list(bits))
-        assert calls == searches
+        assert len(reads) == searches
 
 
 def test_last_choice_runs_in_place():

@@ -58,18 +58,10 @@ def test_domination_on_the_extra_hit_trace():
 
 
 @pytest.mark.parametrize("wide", [True, False], ids=["n>k+Z", "n<=k+Z"])
-def test_domination_sweep(monkeypatch, wide):
+def test_domination_sweep(calls, wide):
     # a universe of at most k + delay items fits in the wrapper's cache, so
     # only the wide draw is sure to reach its eviction rule
-    decisions = 0
-    rule = ReductionPolicy.choose_eviction
-
-    def counted(self, t, item, cache):
-        nonlocal decisions
-        decisions += 1
-        return rule(self, t, item, cache)
-
-    monkeypatch.setattr(ReductionPolicy, "choose_eviction", counted)
+    decisions = calls(ReductionPolicy, "choose_eviction")
     rng = random.Random(2025 if wide else 2024)
     cases, reached = 300, 0
     for _ in range(cases):
@@ -82,10 +74,10 @@ def test_domination_sweep(monkeypatch, wide):
             n = rng.randint(2, 8)
             seq = random_sequence(rng, n, rng.randint(1, 60))
         inner = LruPolicy() if rng.random() < 0.5 else FifoPolicy()
-        before = decisions
+        before = len(decisions)
         report = verify_domination(seq, inner, ModelParams(n, k, delay))
         assert report.outer_total <= report.inner_total
-        reached += decisions > before
+        reached += len(decisions) > before
     if wide:
         assert reached >= 3 * cases // 4
 
