@@ -23,6 +23,7 @@ import json
 import os
 import random
 import sys
+from functools import partial
 
 from . import __version__
 from .latency import antimonotone_latency, delayed_hits_latency
@@ -313,14 +314,25 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+def _outcome(check, case):
+    """(whether check(case) raised, what it returned or raised): a worker
+    sends a check's exception back as a value, as any other result."""
+    try:
+        return False, check(case)
+    except Exception as exc:
+        return True, exc
+
+
 def _checked(check, cases, count):
     """check(case) for each of the ``count`` cases, in case order.
 
     Chunks of cases go to a fork pool with one worker per usable CPU and
     at most one per chunk. With one worker, without fork, or while another
     thread runs (a forked child would inherit the locks it holds), the same
-    checks run in this process. Leaving the pool terminates its workers,
-    whether the sweep ends or a check raises.
+    checks run in this process. After a check raises in a worker, no case
+    is sent: the chunks already sent are drained, the pool is left
+    through ``close`` and ``join`` with no task in flight, and the first
+    exception in case order is raised. Only an interrupt terminates it.
     """
     workers = min(_usable_cpus(), -(-count // _CHECK_CHUNK))
     if workers > 1:
@@ -328,8 +340,23 @@ def _checked(check, cases, count):
         import threading
 
         if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                yield from pool.imap(check, cases, _CHECK_CHUNK)
+            raised = None
+            # the pool's task thread draws the cases in this process
+            cases = itertools.takewhile(lambda case: raised is None, cases)
+            pool = multiprocessing.get_context("fork").Pool(workers)
+            try:
+                for failed, value in pool.imap(partial(_outcome, check), cases, _CHECK_CHUNK):
+                    if failed and raised is None:
+                        raised = value
+                    elif raised is None:
+                        yield value
+            except BaseException:
+                pool.terminate()
+                raise
+            pool.close()
+            pool.join()
+            if raised is not None:
+                raise raised
             return
     yield from map(check, cases)
 

@@ -13,7 +13,6 @@ is immune: there the extra hit never increases latency.
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
 
 from . import policies
@@ -203,7 +202,7 @@ def verify_nonantimonotonicity(
     runs = overrun = None
     if check_optimal:
         try:
-            _, runs, _ = policies._search(params, seq, node_budget, operator.ge,
+            _, runs, _ = policies._search(params, seq, node_budget=node_budget,
                                           limit=low, avoid=b)
         except SearchBudgetExceeded as exc:
             overrun = exc
@@ -214,13 +213,13 @@ def verify_nonantimonotonicity(
         # each feasibility search is is_hit_sequence_feasible's, handed the
         # closed-form latency computed above as its limit
         if not settled:
-            _, runs, _ = policies._search(params, seq, node_budget, operator.ge, b, low)
+            _, runs, _ = policies._search(params, seq, node_budget=node_budget, target=b, limit=low)
             if not runs:
                 raise VerificationError("baseline hit sequence is not feasible")
         (witness,) = runs.values()
         report = report._replace(baseline_witness=witness)
         step = "extra-hit feasibility"
-        _, runs, _ = policies._search(params, seq, node_budget, operator.ge, b_hi, high)
+        _, runs, _ = policies._search(params, seq, node_budget=node_budget, target=b_hi, limit=high)
         if not runs:
             raise VerificationError("extra-hit hit sequence is not feasible")
         (witness,) = runs.values()

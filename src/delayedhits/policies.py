@@ -303,7 +303,8 @@ def _key(sim, returned, choice):
     return sim.t, cache, tuple(sim.fetches)
 
 
-def _search(params, sequence, node_budget, cut, target=None, limit=None, avoid=None):
+def _search(params, sequence, node_budget=DEFAULT_SEARCH_BUDGET, cut=operator.ge,
+            target=None, limit=None, avoid=None):
     """The search kernel: (best, {hit bits: evictions} of the runs kept, nodes).
 
     ``cut(bound, best)`` is ``operator.ge`` to keep the first run at the
@@ -411,7 +412,7 @@ def _search(params, sequence, node_budget, cut, target=None, limit=None, avoid=N
 def brute_force_opt(params, sequence, node_budget=DEFAULT_SEARCH_BUDGET) -> OptResult:
     """Exact minimum latency over every feasible eviction schedule, with
     the first optimal schedule in search order as the canonical witness."""
-    total, optima, nodes = _search(params, sequence, node_budget, operator.ge)
+    total, optima, nodes = _search(params, sequence, node_budget)
     ((hits, evictions),) = optima.items()
     return OptResult(total, evictions, list(hits), nodes)
 
@@ -432,5 +433,5 @@ def is_hit_sequence_feasible(
     a run costs the closed-form latency of ``bits``, the search's limit."""
     latency = antimonotone_latency if params.mode == ANTIMONOTONE else delayed_hits_latency
     limit, _ = latency(sequence, params.delay, bits)
-    _, found, _ = _search(params, sequence, node_budget, operator.ge, bits, limit)
+    _, found, _ = _search(params, sequence, node_budget, target=bits, limit=limit)
     return (True, *found.values()) if found else (False, None)

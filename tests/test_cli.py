@@ -3,6 +3,7 @@
 import hashlib
 import json
 import multiprocessing
+import multiprocessing.pool
 import os
 import pickle
 import random
@@ -783,6 +784,28 @@ def test_a_check_raising_in_a_worker_reaches_main(text, code):
             raise
     expected = eval(text, vars(cli))
     assert (child.returncode, out, err) == (code, "", f"error: {expected}\n")
+
+
+def test_a_raising_pooled_sweep_leaves_its_pool_with_no_task_in_flight(
+    capsys, monkeypatch, calls
+):
+    # terminating workers while one may hold the result queue's lock can
+    # leave the pool's teardown waiting on it for ever; the sweep drains
+    # what it sent and closes the pool instead, and terminates nothing
+    outstanding = []
+    calls(multiprocessing.pool.Pool, "close",
+          edit=lambda arguments: outstanding.append(len(arguments["self"]._cache)))
+    terminated = calls(multiprocessing.pool.Pool, "terminate")
+
+    def explode(*args):
+        raise VerificationError("injected fault")
+
+    monkeypatch.setattr(cli, "simulate", explode)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    code = main(["check", "--suite", "latency", "--cases", "300"])
+    assert (code, *capsys.readouterr()) == (1, "", "error: injected fault\n")
+    assert outstanding == [0] and terminated == []
+    assert multiprocessing.active_children() == []
 
 
 # the layer each suite's check calls, patched to see where checks run

@@ -1,6 +1,5 @@
 """The extra-hit-hurts construction and its verified claims."""
 
-import operator
 import tracemalloc
 from fractions import Fraction
 
@@ -161,8 +160,7 @@ def test_first_deviation_table_holds_only_taken_choices():
     low, _ = delayed_hits_latency(seq, cspec.delay, bits)
     tracemalloc.start()
     try:
-        _, runs, nodes = policies._search(cspec.params(), seq, 10**6, operator.ge,
-                                          limit=low, avoid=bits)
+        _, runs, nodes = policies._search(cspec.params(), seq, 10**6, limit=low, avoid=bits)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

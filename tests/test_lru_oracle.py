@@ -13,49 +13,29 @@ from hypothesis import strategies as st
 from delayedhits import ANTIMONOTONE, STANDARD, LruPolicy, ModelParams, simulate, verify_domination
 from delayedhits.traces import draw_instance, random_sequence
 
+from conftest import Checked
 
-def oracle_victim(cache, last_request):
+
+def lru_rule(policy, t, cache, last_request):
     return min(cache, key=lambda j: (last_request.get(j, 0), j))
 
 
-class CheckedLru:
-    """Runs LruPolicy and asserts each victim equals the oracle's."""
-
-    name = "lru"
-
-    def __init__(self):
-        self.lru = LruPolicy()
-        self.decisions = 0
-
-    def reset(self, params):
-        self.lru.reset(params)
-        self.last_request = {}
-
-    def observe(self, t, item, hit):
-        self.lru.observe(t, item, hit)
-        if item != 0:
-            self.last_request[item] = t
-
-    def choose_eviction(self, t, item, cache):
-        expected = oracle_victim(cache, self.last_request)
-        victim = self.lru.choose_eviction(t, item, cache)
-        assert victim == expected, f"t={t}: lru evicted {victim}, oracle {expected}"
-        self.decisions += 1
-        return victim
+def checked_lru():
+    return Checked(LruPolicy(), lru_rule)
 
 
 def test_never_requested_residents_tie_by_id():
     # 1, 2 and 3 start resident and 1 and 3 are never requested: they tie
     # at last request 0 and go in id order, before the requested 2
     params = ModelParams(6, 3, 1)
-    policy = CheckedLru()
+    policy = checked_lru()
     run = simulate(params, [2, 4, 5, 6], policy)
     assert run.eviction_sequence == [0, 1, 3, 2]
     assert policy.decisions == 3
 
 
 def test_untouched_initial_cache_is_evicted_in_id_order():
-    policy = CheckedLru()
+    policy = checked_lru()
     run = simulate(ModelParams(8, 4, 2), [5, 6, 7, 8, 0, 0], policy)
     assert run.eviction_sequence == [0, 1, 2, 3, 4, 0]
     assert policy.decisions == 4
@@ -67,7 +47,7 @@ def test_seeded_instances_both_modes():
     for _ in range(150):
         k, delay, n, seq = draw_instance(rng, max_length=80, max_cache=6)
         for mode in (STANDARD, ANTIMONOTONE):
-            policy = CheckedLru()
+            policy = checked_lru()
             simulate(ModelParams(n, k, delay, mode), seq, policy)
             decisions += policy.decisions
     assert decisions > 1000
@@ -79,7 +59,7 @@ def test_long_trace_with_heap_rebuilds():
     rng = random.Random(77)
     seq = [rng.choice([rng.randint(1, 12), rng.randint(1, 200)]) for _ in range(6000)]
     for mode in (STANDARD, ANTIMONOTONE):
-        policy = CheckedLru()
+        policy = checked_lru()
         simulate(ModelParams(200, 16, 5, mode), seq, policy)
         assert policy.decisions > 1000
 
@@ -91,7 +71,7 @@ def test_inner_policy_of_the_reduction():
         delay = rng.randint(1, 6)
         n = rng.randint(2, 10)
         seq = random_sequence(rng, n, rng.randint(1, 60))
-        verify_domination(seq, CheckedLru(), ModelParams(n, k, delay))
+        verify_domination(seq, checked_lru(), ModelParams(n, k, delay))
 
 
 @settings(max_examples=150, deadline=None)
@@ -105,4 +85,4 @@ def test_inner_policy_of_the_reduction():
 def test_drawn_instances(data, k, delay, extra, mode):
     n = k + extra
     seq = data.draw(st.lists(st.integers(0, n), max_size=60))
-    simulate(ModelParams(n, k, delay, mode), seq, CheckedLru())
+    simulate(ModelParams(n, k, delay, mode), seq, checked_lru())

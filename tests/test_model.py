@@ -25,6 +25,8 @@ from delayedhits import (
 from delayedhits.policies import POLICIES, RandomEvictionPolicy, draw_policy
 from delayedhits.traces import draw_instance, random_sequence
 
+from conftest import paused_run
+
 
 @pytest.mark.parametrize("delay", range(1, 11))
 def test_cold_burst_costs_triangular_sum(delay):
@@ -123,23 +125,6 @@ def test_step_rejects_item_outside_universe():
         Simulation(ModelParams(3, 1, 1)).step(4)
 
 
-def _paused_run(params, sequence, policy):
-    """``simulate``'s run rebuilt from paused steps: the caller shows the
-    policy each request and takes its decision at each return."""
-    policy.reset(params)
-    sim = Simulation(params)
-    decisions = 0
-    for item in sequence:
-        hit = item in sim.cache if item else None
-        returned = sim.step(item)
-        policy.observe(sim.t, item, hit)
-        if sim.needs_decision(returned):
-            decisions += 1
-            victim = policy.choose_eviction(sim.t, returned, sim.cache.keys())
-            sim.apply_eviction(returned, victim)
-    return sim, decisions
-
-
 def _every_policy(rng, params, sequence):
     """(params, sequence, factory) for each policy: every registry entry,
     static with random targets, a seeded random policy, and the k+Z wrapper
@@ -170,8 +155,9 @@ def test_policy_inside_step_equals_paused_step_and_outside_decision(mode):
         k, delay, n, seq = draw_instance(rng, max_length=40, max_cache=4, max_delay=6)
         for params, sequence, policy in _every_policy(rng, ModelParams(n, k, delay, mode), seq):
             inside = simulate(params, sequence, policy())
-            sim, taken = _paused_run(params, sequence, policy())
-            decisions += taken
+            taken = []
+            sim = paused_run(params, sequence, policy(), lambda sim, returned: taken.append(sim.t))
+            decisions += len(taken)
             assert sim.committed == inside.total_latency
             assert set(sim.cache) == inside.cache_history[-1]
             outside = sim.result()

@@ -6,6 +6,8 @@ import pytest
 
 import delayedhits
 from delayedhits import (
+    ANTIMONOTONE,
+    STANDARD,
     BeladyPolicy,
     FifoPolicy,
     LruPolicy,
@@ -93,6 +95,21 @@ def test_belady_is_optimal_at_delay_one():
         params = ModelParams(n, k, 1)
         mine = simulate(params, seq, BeladyPolicy(seq)).total_latency
         assert mine == brute_force_opt(params, seq).min_latency
+
+
+@pytest.mark.parametrize("mode", [STANDARD, ANTIMONOTONE])
+def test_belady_is_optimal_at_delay_one_where_the_cuts_fire(mode):
+    # 60 requests at n=6, k=3: each search visits about 2000 decision
+    # nodes, so the bound and the transposition table cut on the way
+    rng = random.Random(73)
+    nodes = 0
+    for _ in range(40):
+        seq = random_sequence(rng, 6, 60, 0.15)
+        params = ModelParams(6, 3, 1, mode)
+        opt = brute_force_opt(params, seq)
+        assert simulate(params, seq, BeladyPolicy(seq)).total_latency == opt.min_latency
+        nodes += opt.nodes
+    assert nodes > 40 * 1000
 
 
 def test_make_policy_names():

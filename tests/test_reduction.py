@@ -19,6 +19,8 @@ from delayedhits import (
 from delayedhits.policies import RandomEvictionPolicy
 from delayedhits.traces import random_sequence
 
+from conftest import Checked
+
 
 def test_single_cold_request_costs_delay_in_both():
     report = verify_domination([9], LruPolicy(), ModelParams(9, 2, 4))
@@ -117,34 +119,12 @@ def test_shadow_run_equals_an_independent_inner_run(make, wide):
     assert insertions > 100
 
 
-class CheckedReduction:
-    """Runs the wrapper and asserts each victim equals the all-items rule:
-    the smallest cached item outside the inner cache and outside every item
-    whose last request falls in t - delay + 1..t."""
-
-    name = "reduction"
-
-    def __init__(self, inner_policy, inner_params):
-        self.wrapped = ReductionPolicy(inner_policy, inner_params)
-        self.delay = inner_params.delay
-        self.decisions = 0
-
-    def reset(self, params):
-        self.wrapped.reset(params)
-        self.last_request = {}
-
-    def observe(self, t, item, hit):
-        self.wrapped.observe(t, item, hit)
-        if item != 0:
-            self.last_request[item] = t
-
-    def choose_eviction(self, t, item, cache):
-        recent = {y for y, s in self.last_request.items() if s >= t - self.delay + 1}
-        expected = min(set(cache) - set(self.wrapped.inner.cache) - recent, default=0)
-        victim = self.wrapped.choose_eviction(t, item, cache)
-        assert victim == expected, f"t={t}: wrapper evicted {victim}, rule {expected}"
-        self.decisions += 1
-        return victim
+def all_items_rule(wrapper, t, cache, last_request):
+    """The smallest cached item outside the inner cache and outside every
+    item whose last request falls in t - delay + 1..t."""
+    delay = wrapper.inner_params.delay
+    recent = {y for y, s in last_request.items() if s >= t - delay + 1}
+    return min(set(cache) - set(wrapper.inner.cache) - recent, default=0)
 
 
 def test_victim_matches_the_all_items_rule():
@@ -163,7 +143,7 @@ def test_victim_matches_the_all_items_rule():
         seq = random_sequence(rng, n, rng.randint(1, 80))
         inner_params = ModelParams(n, k, delay)
         for name, make in inner_policies.items():
-            policy = CheckedReduction(make(), inner_params)
+            policy = Checked(ReductionPolicy(make(), inner_params), all_items_rule)
             simulate(reduction_outer_params(inner_params), seq, policy)
             decisions[name] += policy.decisions
     assert min(decisions.values()) > 300

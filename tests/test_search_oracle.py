@@ -27,6 +27,8 @@ from delayedhits import (
 from delayedhits.policies import RandomEvictionPolicy, _branches, _forced_terms, _key, _search
 from delayedhits.traces import random_sequence, request_times
 
+from conftest import paused_run
+
 
 def _forced_latency(params, sequence):
     """f(sim): the latency of the future requests no schedule can avoid, the
@@ -168,15 +170,9 @@ def test_branch_keys_and_bounds_match_a_cloned_eviction():
         sequence = random_sequence(rng, n, rng.randint(1, 30))
         terms = _forced_terms(params, request_times(sequence))
         forced = _forced_latency(params, sequence)
-        policy = RandomEvictionPolicy(rng.randrange(2**30))
-        policy.reset(params)
-        sim = Simulation(params)
-        for item in sequence:
-            hit = item in sim.cache if item else None
-            returned = sim.step(item)
-            policy.observe(sim.t, item, hit)
-            if not sim.needs_decision(returned):
-                continue
+
+        def visit(sim, returned):
+            nonlocal decisions
             decisions += 1
             branches = list(_branches(sim, returned, terms))
             assert [choice for choice, _ in branches] == [0, *sorted(sim.cache)]
@@ -190,8 +186,8 @@ def test_branch_keys_and_bounds_match_a_cloned_eviction():
                 for r, item in taken.fetches.items():
                     assert item == sequence[r - params.delay]
                 assert bound == taken.committed + forced(taken)
-            victim = policy.choose_eviction(sim.t, returned, sim.cache.keys())
-            sim.apply_eviction(returned, victim)
+
+        paused_run(params, sequence, RandomEvictionPolicy(rng.randrange(2**30)), visit)
     assert decisions > 1000
 
 
@@ -209,15 +205,9 @@ def test_a_choice_commits_no_more_than_its_bound_before_the_next_decision():
         params = ModelParams(n, k, rng.randint(1, 6), (STANDARD, ANTIMONOTONE)[run % 2])
         sequence = random_sequence(rng, n, rng.randint(1, 30))
         terms = _forced_terms(params, request_times(sequence))
-        policy = RandomEvictionPolicy(rng.randrange(2**30))
-        policy.reset(params)
-        sim = Simulation(params)
-        for item in sequence:
-            hit = item in sim.cache if item else None
-            returned = sim.step(item)
-            policy.observe(sim.t, item, hit)
-            if not sim.needs_decision(returned):
-                continue
+
+        def visit(sim, returned):
+            nonlocal checked
             for choice, bound in _branches(sim, returned, terms):
                 taken = sim.clone()
                 taken.apply_eviction(returned, choice)
@@ -226,8 +216,8 @@ def test_a_choice_commits_no_more_than_its_bound_before_the_next_decision():
                         break
                 assert taken.committed <= bound
                 checked += 1
-            victim = policy.choose_eviction(sim.t, returned, sim.cache.keys())
-            sim.apply_eviction(returned, victim)
+
+        paused_run(params, sequence, RandomEvictionPolicy(rng.randrange(2**30)), visit)
     assert checked > 2000
 
 
@@ -252,7 +242,7 @@ def test_each_optimum_keeps_the_feasibility_searchs_witness(mode):
         n = k + rng.randint(1, 6 - k)
         params = ModelParams(n, k, rng.randint(1, 6), mode)
         sequence = random_sequence(rng, n, rng.randint(1, 30))
-        total, optima, _ = _search(params, sequence, 2**22, operator.gt)
+        total, optima, _ = _search(params, sequence, cut=operator.gt)
         assert total == brute_force_opt(params, sequence).min_latency
         several += len(optima) > 1
         for hits, evictions in optima.items():
@@ -262,14 +252,14 @@ def test_each_optimum_keeps_the_feasibility_searchs_witness(mode):
             assert result.total_latency == total
             vectors += 1
         v = rng_v.choice(sorted(optima))
-        _, runs, _ = _search(params, sequence, 2**22, operator.ge, limit=total, avoid=v)
+        _, runs, _ = _search(params, sequence, limit=total, avoid=v)
         assert runs.keys() <= optima.keys()
         assert (len(runs.keys() - {v}) == 1) is (len(optima) > 1)
         assert runs.get(v, optima[v]) == optima[v]
         assert len(optima) > 1 or runs == optima
-        assert _search(params, sequence, 2**22, operator.ge, limit=total - 1, avoid=v)[1] == {}
+        assert _search(params, sequence, limit=total - 1, avoid=v)[1] == {}
         for bits in (v, [rng_v.randint(0, 1) for _ in sequence]):
-            _, found, _ = _search(params, sequence, 2**22, operator.ge, bits)
+            _, found, _ = _search(params, sequence, target=bits)
             expected = (True, *found.values()) if found else (False, None)
             assert is_hit_sequence_feasible(params, sequence, bits) == expected
     assert vectors > 1000 and several > 100
@@ -300,14 +290,13 @@ def test_searches_do_not_depend_on_id_values(mode):
         opt = brute_force_opt(dense_params, sequence)
         decided += opt.nodes > 0
         feasible = is_hit_sequence_feasible(dense_params, sequence, opt.witness_hits)
-        deviation = _search(dense_params, sequence, 2**22, operator.ge,
-                            limit=opt.min_latency, avoid=opt.witness_hits)
+        deviation = _search(dense_params, sequence, limit=opt.min_latency, avoid=opt.witness_hits)
         tracemalloc.start()
         try:
             sparse_opt = brute_force_opt(sparse_params, sparse)
             sparse_feasible = is_hit_sequence_feasible(
                 sparse_params, sparse, opt.witness_hits)
-            sparse_deviation = _search(sparse_params, sparse, 2**22, operator.ge,
+            sparse_deviation = _search(sparse_params, sparse,
                                        limit=opt.min_latency, avoid=opt.witness_hits)
             peak = max(peak, tracemalloc.get_traced_memory()[1])
         finally:

@@ -101,3 +101,14 @@ def test_a_construction_submodule_resolves_after_a_bare_import():
         "print(module is sys.modules['delayedhits.counterexample'], module.__name__)"
     )
     assert _probe(probe) == "True delayedhits.counterexample\n"
+
+
+def test_dir_lists_the_lazy_names_without_loading_them():
+    probe = (
+        "import sys, delayedhits\n"
+        "names = set(dir(delayedhits))\n"
+        "print(sorted({*delayedhits.__all__, 'adversary', 'counterexample'} - names))\n"
+        "print(sorted({'fractions', 'delayedhits.adversary', 'delayedhits.counterexample'}"
+        " & set(sys.modules)))\n"
+    )
+    assert _probe(probe) == "[]\n[]\n"
