@@ -64,7 +64,7 @@ def read_trace(path) -> list[int]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_trace(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TraceError(f"cannot read trace {path}: {exc}") from None
 
 

@@ -1,6 +1,7 @@
 """The core package imports nothing outside the standard library, and its
 start-up skips the modules that only dataclasses, or only the adversary
-and counterexample commands, would bring in."""
+and counterexample commands, would bring in, and builds no argument
+parser."""
 
 import ast
 import os
@@ -49,11 +50,15 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # the records are named tuples and a slotted class, so start-up skips
     # dataclasses, inspect and the ast, dis and tokenize that inspect loads;
     # the two constructions, and fractions with them, load on first use,
-    # and check's pool of workers only when it runs one
+    # and check's pool of workers only when it runs one; the argument
+    # parser is built on the first call
     unwanted = {"dataclasses", "inspect", "fractions", "multiprocessing",
                 "delayedhits.adversary", "delayedhits.counterexample"}
-    probe = f"import sys, delayedhits.cli; print(sorted({unwanted!r} & set(sys.modules)))"
-    assert _probe(probe) == "[]\n"
+    probe = (
+        "import sys, delayedhits.cli as cli; "
+        f"print(sorted({unwanted!r} & set(sys.modules)), cli._parser)"
+    )
+    assert _probe(probe) == "[] None\n"
 
 
 def test_star_import_binds_each_public_name_to_its_defining_modules_object():
