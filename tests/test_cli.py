@@ -170,11 +170,40 @@ def test_counterexample_overrun_names_the_optimum_search_that_overran(capsys, ca
     )
 
 
-def test_counterexample_has_no_universe_flag(capsys):
-    # the construction fixes n = k + 2; a -n would be ignored
+# argparse exits 2 on a missing or unknown command or argument, an
+# unknown choice or a mistyped value, and on a flag that the command would
+# ignore: the counterexample fixes n = k + 2 and its own policy, check
+# draws its cases' k, and only simulate and check take --model
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "the following arguments are required: command"),
+        (["nope"], "argument command: invalid choice: 'nope'"),
+        (["simulate"], "the following arguments are required: trace"),
+        (["simulate", "t", "extra"], "unrecognized arguments: extra"),
+        (["simulate", "t", "--policy", "nope"], "argument --policy: invalid choice: 'nope'"),
+        (["simulate", "t", "--model", "nope"], "argument --model: invalid choice: 'nope'"),
+        (["adversary", "--model", "antimonotone"], "unrecognized arguments: --model antimonotone"),
+        (["adversary", "-k", "x"], "argument -k: invalid int value: 'x'"),
+        (["counterexample", "-n", "999"], "unrecognized arguments: -n 999"),
+        (["counterexample", "--policy", "lru"], "unrecognized arguments: --policy lru"),
+        (["reduce", "t", "--model", "standard"], "unrecognized arguments: --model standard"),
+        (["check", "--suite", "nope"], "argument --suite: invalid choice: 'nope'"),
+        (["check", "-k", "3"], "unrecognized arguments: -k 3"),
+        (["check", "--idle-prob", "x"], "argument --idle-prob: invalid float value: 'x'"),
+    ],
+    ids=["no-command", "unknown-command", "simulate-no-trace", "simulate-extra",
+         "simulate-policy", "simulate-model", "adversary-model", "adversary-k-not-int",
+         "counterexample-n", "counterexample-policy", "reduce-model", "check-suite",
+         "check-k", "check-idle-prob-not-float"],
+)
+def test_the_parser_rejects_what_no_command_reads(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
-        main(["counterexample", "-n", "999"])
-    assert exc.value.code == 2
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    prog, _, text = err.splitlines()[-1].partition(": error: ")
+    assert prog.split()[0] == "delayedhits" and text.startswith(message)
 
 
 def test_counterexample_trace_roundtrip(tmp_path, capsys):
@@ -457,7 +486,9 @@ def _wrong_optimum(real):
 
 
 # each error's exact line; TRACE is a trace with a request for item 49,
-# BYTES a file that is not UTF-8, and NODIR a directory that does not exist
+# BYTES a file that is not UTF-8, WORD and NEGATIVE traces whose second
+# line is a word or a negative request, and NODIR a directory that does
+# not exist
 @pytest.mark.parametrize(
     "argv,patch,code,message",
     [
@@ -473,6 +504,8 @@ def _wrong_optimum(real):
         (["check", "--idle-prob", "-0.1"], None, 2,
          "--idle-prob must be in [0, 1), got -0.1"),
         (["check", "--idle-prob", "nan"], None, 2, "--idle-prob must be in [0, 1), got nan"),
+        (["simulate", "WORD"], None, 2, "line 2: 'x' is not an integer"),
+        (["reduce", "NEGATIVE"], None, 2, "line 2: requests must be nonnegative"),
         (["simulate", "TRACE", "-n", "3"], None, 2, "request at t=2 is 49, outside 0..3"),
         # shipped policies never propose infeasible evictions, so force one
         (["simulate", "TRACE"], ("simulate", _raising(InfeasibleEvictionError(5, 2))), 3,
@@ -500,6 +533,9 @@ def _wrong_optimum(real):
         # the construction has no trace to give belady before it builds one
         (["adversary", "--policy", "belady"], None, 2,
          "belady is offline and needs the full trace"),
+        (["adversary", "-n", "3", "-k", "3"], None, 2,
+         "adversary needs at least k+1 items in the universe"),
+        (["counterexample", "-Z", "6", "-k", "0"], None, 2, "cache_size must be >= 1"),
         # a static target that is empty or outside 1..n can never be cached
         (["simulate", "TRACE", "-n", "60", "--policy", "static", "--static-items", "61"],
          None, 2, "--static-items must name items in 1..60, got '61'"),
@@ -511,6 +547,11 @@ def _wrong_optimum(real):
          None, 2, "--static-items must name items in 1..49, got ''"),
         (["adversary", "--policy", "static", "-k", "2", "-Z", "3", "--static-items", "7"],
          None, 2, "--static-items must name items in 1..3, got '7'"),
+        # an item below 1 passes the range check and reaches the policy's own
+        (["simulate", "TRACE", "--policy", "static", "--static-items", "0"],
+         None, 2, "static target items must be positive"),
+        (["reduce", "TRACE", "--policy", "static", "--static-items", "-1"],
+         None, 2, "static target items must be positive"),
         (["simulate", "TRACE", "--policy", "static", "--static-items", "1,x"],
          None, 2, "expected comma-separated integers, got '1,x'"),
         # a target set for another policy would be ignored
@@ -520,19 +561,23 @@ def _wrong_optimum(real):
          None, 2, "--static-items needs --policy static, got --policy fifo"),
     ],
     ids=["trace", "trace-undecodable", "value", "cases-negative", "idle-prob-2",
-         "idle-prob-1", "idle-prob-negative", "idle-prob-nan", "universe", "infeasible",
-         "budget", "verification", "out", "trace-out", "cap-0", "cap-negative",
-         "search-budget-adversary", "search-budget-counterexample", "small-delay",
-         "offline-adversary", "static-above-n", "static-above-inferred-n", "static-empty",
-         "static-empty-string", "static-adversary", "static-not-integers",
+         "idle-prob-1", "idle-prob-negative", "idle-prob-nan", "trace-not-integer",
+         "trace-negative", "universe", "infeasible", "budget", "verification", "out",
+         "trace-out", "cap-0", "cap-negative", "search-budget-adversary",
+         "search-budget-counterexample", "small-delay", "offline-adversary",
+         "adversary-small-universe", "counterexample-k-0", "static-above-n",
+         "static-above-inferred-n", "static-empty", "static-empty-string",
+         "static-adversary", "static-zero", "static-negative", "static-not-integers",
          "static-items-without-static", "static-items-adversary-fifo"],
 )
 def test_main_maps_each_error_to_its_exit_code(
     tmp_path, capsys, monkeypatch, argv, patch, code, message
 ):
-    (tmp_path / "bytes.txt").write_bytes(b"\xff\n")
     names = {"TRACE": write_lines(tmp_path / "t.txt", [1, 49, 2]),
-             "BYTES": str(tmp_path / "bytes.txt"), "NODIR": str(tmp_path / "no-such-dir")}
+             "NODIR": str(tmp_path / "no-such-dir")}
+    for name, data in {"BYTES": b"\xff\n", "WORD": b"1\nx\n", "NEGATIVE": b"3\n-1\n"}.items():
+        names[name] = str(tmp_path / f"{name.lower()}.txt")
+        Path(names[name]).write_bytes(data)
 
     def named(text):
         for name, value in names.items():
