@@ -88,19 +88,12 @@ def _parse_items(text) -> list[int]:
 
 def _policy_for(args, params, sequence=None):
     """The ``--policy`` that ``args`` name, for a run under ``params``: the static
-    target defaults to its initial cache, and ``--static-items`` must name items
-    of its universe."""
-    static_items = None
-    if args.policy == "static":
+    target defaults to its initial cache, and the policy checks the one given."""
+    if args.static_items is None:
         static_items = params.initial_cache()
-        if args.static_items is not None:
-            static_items = _parse_items(args.static_items)
-            n = params.num_items
-            if not static_items or max(static_items) > n:
-                raise ValueError(
-                    f"--static-items must name items in 1..{n}, got {args.static_items!r}"
-                )
-    elif args.static_items is not None:
+    elif args.policy == "static":
+        static_items = _parse_items(args.static_items)
+    else:
         # a target set that no policy reads would be ignored without a word
         raise ValueError(f"--static-items needs --policy static, got --policy {args.policy}")
     return make_policy(args.policy, sequence=sequence, static_items=static_items)

@@ -138,10 +138,11 @@ class Simulation:
         self.t = 0
         # a dict used as a set: its keys() view is what policies are shown
         self.cache = dict.fromkeys(params.initial_cache())
-        # in-flight state; the tuples are replaced, never mutated, so a
-        # clone can share them
+        # in-flight state; the pairs are replaced, never mutated, so a clone
+        # can share them, and ``later`` links an item's return times in order
         self.fetches = {}      # return time -> item; one dispatch per timestep
-        self.fetch_times = {}  # item -> return times of its fetches in flight
+        self.fetch_times = {}  # item -> (first, last) return time in flight
+        self.later = {}        # return time -> the same item's next one
         self.per_request_latency = []  # a hit costs 0, a miss at least 1
         self.log = []  # t, victim, item cached: three slots per eviction
         # latency of every request so far, exact, not a bound: a miss's serving
@@ -194,19 +195,21 @@ class Simulation:
             # dispatch; one request per timestep, so the return slot is free
             return_time = t + self.delay - 1
             self.fetches[return_time] = item
-            times = self.fetch_times.get(item, ()) + (return_time,)
-            self.fetch_times[item] = times
+            first, last = self.fetch_times.get(item, (return_time, None))
+            if last is not None:
+                self.later[last] = return_time
+            self.fetch_times[item] = first, return_time
             if not hit:
-                latency = times[0] - t + 1
+                latency = first - t + 1
                 self.per_request_latency.append(latency)
                 self.committed += latency
         if policy is not None:
             policy.observe(t, item, hit)
         returned = self.fetches.pop(t, None)
         if returned is not None:
-            times = self.fetch_times.pop(returned)
-            if len(times) > 1:
-                self.fetch_times[returned] = times[1:]
+            last = self.fetch_times.pop(returned)[1]
+            if last != t:
+                self.fetch_times[returned] = self.later.pop(t), last
             if policy is not None and returned not in self.cache:
                 self.apply_eviction(
                     returned, policy.choose_eviction(t, returned, self.cache.keys())
@@ -227,6 +230,7 @@ class Simulation:
         twin.cache = self.cache.copy()
         twin.fetches = self.fetches.copy()
         twin.fetch_times = self.fetch_times.copy()
+        twin.later = self.later.copy()
         twin.per_request_latency = self.per_request_latency[:]
         twin.log = self.log[:]
         twin.committed = self.committed

@@ -23,18 +23,18 @@ cost means that vector is the unique optimum (Lawler's K = 2 question),
 with no set of optima built. A transposition table maps (t, cache,
 return times of the fetches in flight), which fixes every future cost
 and hit bit of a run of the searched trace, to the least committed
-latency seen there, and cuts revisits that can do no better; the
-first-deviation search adds to the key whether the run has left its
-vector. It holds at most k+1 entries per decision node, so the node
-budget bounds its memory. A node settles both cuts for each of its
-choices from the paused run, since a choice only swaps the returned item
-for the victim. The bound goes first, so a key is built, and the table
-keeps it, only for a choice the bound lets through: a key fixes the
-forced latency and the best total only falls, so the bound would cut
-again any revisit the table would have cut. Only the choices that
-survive are cloned, and the bound is tested again, against the best
-total by then, when a choice is taken. The searches are exact and
-refuse oversized instances.
+latency seen there, and cuts revisits that can do no better; a run that
+still follows its target or avoided bits keys on (t, cache), since the
+fixed delay lets those bits fix its fetches. It holds at most k+1
+entries per decision node, so the node budget bounds its memory. A node
+settles both cuts for each of its choices from the paused run, since a
+choice only swaps the returned item for the victim. The bound goes
+first, so a key is built, and the table keeps it, only for a choice the
+bound lets through: a key fixes the forced latency and the best total
+only falls, so the bound would cut again any revisit the table would
+have cut. Only the choices that survive are cloned, and the bound is
+tested again, against the best total by then, when a choice is taken.
+The searches are exact and refuse oversized instances.
 """
 
 from __future__ import annotations
@@ -138,16 +138,17 @@ class StaticPolicy(Policy):
     name = "static"
 
     def __init__(self, items):
+        if items is None:
+            raise ValueError("static policy needs a target item set")
         self.items = frozenset(items)
-        if any(i < 1 for i in self.items):
-            raise ValueError("static target items must be positive")
 
     def reset(self, params):
-        if len(self.items) > params.cache_size:
-            raise ValueError(
-                f"static target of {len(self.items)} items exceeds cache size "
-                f"{params.cache_size}"
-            )
+        n, k = params.num_items, params.cache_size
+        if not self.items or min(self.items) < 1 or max(self.items) > n:
+            raise ValueError(f"static target must name items in 1..{n}, "
+                             f"got {sorted(self.items)}")
+        if len(self.items) > k:
+            raise ValueError(f"static target of {len(self.items)} items exceeds cache size {k}")
 
     def choose_eviction(self, t, item, cache):
         if item not in self.items:
@@ -166,6 +167,8 @@ class BeladyPolicy(Policy):
     name = "belady"
 
     def __init__(self, sequence):
+        if sequence is None:
+            raise ValueError("belady is offline and needs the full trace")
         self.positions = request_times(sequence)
 
     def _next_use(self, item, t):
@@ -218,14 +221,8 @@ def make_policy(name, sequence=None, static_items=None) -> Policy:
     if cls is None:
         raise ValueError(f"unknown policy {name!r}; expected one of {tuple(POLICIES)}")
     if cls is StaticPolicy:
-        if static_items is None:
-            raise ValueError("static policy needs a target item set")
         return cls(static_items)
-    if cls is BeladyPolicy:
-        if sequence is None:
-            raise ValueError("belady is offline and needs the full trace")
-        return cls(sequence)
-    return cls()
+    return cls(sequence) if cls is BeladyPolicy else cls()
 
 
 def draw_policy(rng, sequence, k, n) -> Policy:
@@ -291,15 +288,18 @@ def _branches(sim, returned, terms):
         yield victim, swapped + share.get(victim, 0)
 
 
-def _key(sim, returned, choice):
+def _key(sim, returned, choice, guided=False):
     """The transposition key of the run after ``apply_eviction(returned,
     choice)``, derived from the paused run: (t, cache, the return times of
     the fetches in flight). The return times alone: the fetch returning at
     r carries the item requested at r - delay + 1, and insertion order is
-    return order."""
+    return order. A ``guided`` run, one still on the bits it is searched
+    on, keys on (t, cache): the fixed delay lets those bits fix its fetches."""
     cache = frozenset(sim.cache)
     if choice:
         cache = cache.difference((choice,)).union((returned,))
+    if guided:
+        return sim.t, cache
     return sim.t, cache, tuple(sim.fetches)
 
 
@@ -362,14 +362,13 @@ def _search(params, sequence, node_budget=DEFAULT_SEARCH_BUDGET, cut=operator.ge
         table would cut has no smaller bound, and ``best`` only falls.
         Every descendant decides later, so no key of this time is read or
         written before the choices are popped."""
+        # a guided run's key has two parts and any other's three: they never meet
+        guided = follow is not None and not deviated
         kept = []
         for choice, bound in _branches(sim, returned, terms):
             if cut(bound, best):
                 continue
-            key = _key(sim, returned, choice)
-            if avoid is not None:
-                # runs that share a key but not the flag count different leaves
-                key = key, deviated
+            key = _key(sim, returned, choice, guided)
             stored = seen.get(key)
             if stored is not None and cut(sim.committed, stored):
                 continue

@@ -536,22 +536,22 @@ def _wrong_optimum(real):
         (["adversary", "-n", "3", "-k", "3"], None, 2,
          "adversary needs at least k+1 items in the universe"),
         (["counterexample", "-Z", "6", "-k", "0"], None, 2, "cache_size must be >= 1"),
-        # a static target that is empty or outside 1..n can never be cached
+        # a static target that is empty or outside 1..n can never be cached;
+        # the policy checks it when the run starts
         (["simulate", "TRACE", "-n", "60", "--policy", "static", "--static-items", "61"],
-         None, 2, "--static-items must name items in 1..60, got '61'"),
+         None, 2, "static target must name items in 1..60, got [61]"),
         (["simulate", "TRACE", "--policy", "static", "--static-items", "1,50"],
-         None, 2, "--static-items must name items in 1..49, got '1,50'"),
+         None, 2, "static target must name items in 1..49, got [1, 50]"),
         (["simulate", "TRACE", "--policy", "static", "--static-items", ","],
-         None, 2, "--static-items must name items in 1..49, got ','"),
+         None, 2, "static target must name items in 1..49, got []"),
         (["reduce", "TRACE", "--policy", "static", "--static-items", ""],
-         None, 2, "--static-items must name items in 1..49, got ''"),
+         None, 2, "static target must name items in 1..49, got []"),
         (["adversary", "--policy", "static", "-k", "2", "-Z", "3", "--static-items", "7"],
-         None, 2, "--static-items must name items in 1..3, got '7'"),
-        # an item below 1 passes the range check and reaches the policy's own
+         None, 2, "static target must name items in 1..3, got [7]"),
         (["simulate", "TRACE", "--policy", "static", "--static-items", "0"],
-         None, 2, "static target items must be positive"),
+         None, 2, "static target must name items in 1..49, got [0]"),
         (["reduce", "TRACE", "--policy", "static", "--static-items", "-1"],
-         None, 2, "static target items must be positive"),
+         None, 2, "static target must name items in 1..49, got [-1]"),
         (["simulate", "TRACE", "--policy", "static", "--static-items", "1,x"],
          None, 2, "expected comma-separated integers, got '1,x'"),
         # a target set for another policy would be ignored

@@ -380,6 +380,23 @@ def test_clones_share_no_later_eviction(mode):
     assert both_evict_after_a_clone > 50
 
 
+@pytest.mark.parametrize("mode", [STANDARD, ANTIMONOTONE])
+def test_a_clone_serves_its_own_burst(mode):
+    """A run cloned with a burst of one item in flight keeps that burst:
+    the original run served to the end first, the twin still serves every
+    fetch of it, and both end as a fresh run does."""
+    params = ModelParams(3, 1, 5, mode)
+    sequence = [2, 2, 2, 3, 2, 2, 0, 0, 0, 0, 2]
+    sim = Simulation(params)
+    for item in sequence[:3]:
+        sim.step(item)
+    twin = sim.clone()
+    for run in (sim, twin):
+        for item in sequence[3:]:
+            run.step(item)
+    assert sim.result() == twin.result() == replay(params, sequence, [0] * len(sequence))
+
+
 def test_simulate_holds_three_slots_per_eviction():
     """A run keeps its evictions in one flat list: at this shape about two
     thirds of the steps evict, and a linked record per eviction peaks at

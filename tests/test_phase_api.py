@@ -99,6 +99,11 @@ class PhaseMachine(RuleBasedStateMachine):
             for item, t0 in self.queued
         )
         assert self.sim.committed == committed
+        # each item in flight spans its earliest to its latest return time
+        in_flight = {}
+        for rt, it in sorted(self.fetches.items()):
+            in_flight.setdefault(it, []).append(rt)
+        assert self.sim.fetch_times == {it: (rts[0], rts[-1]) for it, rts in in_flight.items()}
 
         # package a clone: the original run continues unaffected
         twin = self.sim.clone()

@@ -70,8 +70,9 @@ def test_static_policy_validates_size():
 
 
 def test_static_policy_rejects_nonpositive_items():
-    with pytest.raises(ValueError, match="static target items must be positive"):
-        StaticPolicy([0, 2])
+    policy = StaticPolicy([0, 2])
+    with pytest.raises(ValueError, match=r"must name items in 1\.\.3, got \[0, 2\]"):
+        simulate(ModelParams(3, 2, 1), [2], policy)
 
 
 def test_belady_declines_item_never_used_again():

@@ -160,7 +160,8 @@ def test_branch_keys_and_bounds_match_a_cloned_eviction():
     taking the choice. At each decision of seeded random runs, the key and
     the bound it derives for each choice must be those of a clone that
     took it: (t, cache, return times of the fetches in flight) and
-    committed + forced."""
+    committed + forced. A guided run's key is (t, cache): the fetches in
+    flight must be those its hit bits dispatched, fixed by t and the bits."""
     rng = random.Random(9)
     decisions = 0
     for run in range(400):
@@ -185,6 +186,13 @@ def test_branch_keys_and_bounds_match_a_cloned_eviction():
                 # item requested delay - 1 steps before it returns
                 for r, item in taken.fetches.items():
                     assert item == sequence[r - params.delay]
+                assert _key(sim, returned, choice, guided=True) == key[:2]
+                dispatched = [
+                    s + params.delay - 1
+                    for s, (item, cost) in enumerate(zip(sequence, taken.per_request_latency), 1)
+                    if item and (cost or params.mode == ANTIMONOTONE)
+                ]
+                assert list(taken.fetches) == [r for r in dispatched if r > taken.t]
                 assert bound == taken.committed + forced(taken)
 
         paused_run(params, sequence, RandomEvictionPolicy(rng.randrange(2**30)), visit)

@@ -25,7 +25,7 @@ from delayedhits import (
     optimal_hit_sequences,
     simulate,
 )
-from delayedhits.policies import RandomEvictionPolicy
+from delayedhits.policies import RandomEvictionPolicy, _search
 from delayedhits.traces import random_sequence
 
 S, A = STANDARD, ANTIMONOTONE
@@ -129,3 +129,17 @@ def test_search_results_are_pinned(mode, seed):
         flipped_feasible,
         digest(flipped_witness),
     ) == PINNED[mode, seed]
+
+
+def test_first_deviation_search_is_pinned():
+    """A first-deviation search whose runs off the avoided bits share
+    (t, cache) but not their fetches in flight: keyed without the fetches,
+    such a run would cut a different one and the search would keep
+    another run."""
+    seq = [0, 4, 3, 4, 2, 4, 3, 0, 4, 1, 4, 4, 2, 3, 1, 0, 1, 0, 0, 1, 1, 3, 2, 3, 2, 2, 1, 3, 0]
+    bits = [1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1]
+    best, runs, nodes = _search(ModelParams(4, 1, 6), seq, limit=62, avoid=bits)
+    hits = (1, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 0, 1, 0, 1, 1, 1, 0, 1)
+    evictions = [0] * len(seq)
+    evictions[11], evictions[17], evictions[25] = 1, 3, 2
+    assert (best, runs, nodes) == (63, {hits: evictions}, 28)
