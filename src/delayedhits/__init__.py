@@ -1,11 +1,13 @@
 """Deterministic simulator and analysis toolkit for caching with delayed hits.
 
-``import delayedhits`` loads the model, the closed forms, the policies and
-the searches, the k+Z reduction and the trace I/O. The two constructions
-of the lower-bound paper, ``adversary`` and ``counterexample`` (and the
-``fractions`` module that the adversary's ratio needs), load on first use
-of one of their names or of the submodule itself; every name in
-``__all__`` resolves as before.
+``import delayedhits`` loads the model, the policies and the trace I/O,
+which every command runs. The rest loads on first use of one of its
+names or of the submodule itself: the closed forms (``latency``), the
+exhaustive searches (``search``, which loads ``latency``), the k+Z
+reduction (``reduction``), and the two constructions of the lower-bound
+paper, ``adversary`` and ``counterexample`` (with the ``fractions``
+module that the adversary's ratio needs). Every name in ``__all__``
+resolves as before.
 """
 
 __version__ = "0.1.0"
@@ -17,28 +19,22 @@ from .model import (
     STANDARD,
     InfeasibleEvictionError,
     ModelParams,
+    SearchBudgetExceeded,
     Simulation,
     SimulationResult,
     VerificationError,
     replay,
     simulate,
 )
-from .latency import antimonotone_latency, delayed_hits_latency, dominates
 from .policies import (
     BeladyPolicy,
     FifoPolicy,
     LruPolicy,
     NeverCachePolicy,
-    OptResult,
     Policy,
-    SearchBudgetExceeded,
     StaticPolicy,
-    brute_force_opt,
-    is_hit_sequence_feasible,
     make_policy,
-    optimal_hit_sequences,
 )
-from .reduction import ReductionPolicy, reduction_outer_params, verify_domination
 from .traces import random_sequence, read_trace, write_trace
 
 # perfbench/oracles.py calls dh.lru_policy(); this binding stays, outside
@@ -47,6 +43,16 @@ lru_policy = LruPolicy
 
 # public name -> the submodule that defines it, imported on first access
 _LAZY = {
+    "antimonotone_latency": "latency",
+    "delayed_hits_latency": "latency",
+    "dominates": "latency",
+    "OptResult": "search",
+    "brute_force_opt": "search",
+    "is_hit_sequence_feasible": "search",
+    "optimal_hit_sequences": "search",
+    "ReductionPolicy": "reduction",
+    "reduction_outer_params": "reduction",
+    "verify_domination": "reduction",
     "AdversaryReport": "adversary",
     "build_adversarial_sequence": "adversary",
     "bursty_segment": "adversary",

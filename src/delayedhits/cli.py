@@ -10,9 +10,12 @@ Exit codes: 0 ok, 1 property violation, 2 input error, 3 infeasible
 eviction, 4 search budget exceeded; a reader that closes stdout before
 the report ends leaves the code as it was.
 
-Start-up imports what ``simulate``, ``reduce`` and ``check`` run. The
-``adversary`` and ``counterexample`` commands import their construction
-(and, for the adversary, ``fractions``) when they run.
+Start-up imports only the model, the policies and the trace I/O, which
+every command runs; ``simulate`` needs nothing more. Each other command
+imports the rest of what it runs when it runs: ``reduce`` the k+Z
+wrapper, ``check`` what its suite checks, ``adversary`` its construction
+(with ``fractions``) and, under ``--oracle-check``, the exhaustive
+search, and ``counterexample`` its construction and the searches.
 """
 
 from __future__ import annotations
@@ -24,27 +27,21 @@ import os
 import random
 import sys
 from functools import partial
+from importlib import import_module
 
 from . import __version__
-from .latency import antimonotone_latency, delayed_hits_latency
 from .model import (
     ANTIMONOTONE,
+    DEFAULT_SEARCH_BUDGET,
     MODES,
     STANDARD,
     InfeasibleEvictionError,
     ModelParams,
+    SearchBudgetExceeded,
     VerificationError,
     simulate,
 )
-from .policies import (
-    DEFAULT_SEARCH_BUDGET,
-    POLICIES,
-    SearchBudgetExceeded,
-    brute_force_opt,
-    draw_policy,
-    make_policy,
-)
-from .reduction import reduction_outer_params, verify_domination
+from .policies import POLICIES, draw_policy, make_policy
 from .traces import (
     TraceError,
     draw_instance,
@@ -148,6 +145,8 @@ def cmd_adversary(args):
     }
     code = EXIT_OK
     if args.oracle_check:
+        from .search import brute_force_opt
+
         try:
             results["oracle_opt"] = brute_force_opt(
                 params, report.sequence, args.search_budget
@@ -191,6 +190,8 @@ def cmd_counterexample(args):
 
 
 def cmd_reduce(args):
+    from .reduction import reduction_outer_params, verify_domination
+
     sequence = read_trace(args.trace)
     n = args.n if args.n is not None else infer_num_items(sequence)
     params = ModelParams(n, args.k, args.Z, ANTIMONOTONE)
@@ -215,6 +216,8 @@ def _draw_latency(rng, idle_prob):
 
 
 def _check_latency(case):
+    from .latency import antimonotone_latency, delayed_hits_latency
+
     k, delay, n, sequence, policy = case
     for mode, closed_form in (
         (STANDARD, delayed_hits_latency),
@@ -244,6 +247,8 @@ def _draw_antimono(rng, idle_prob):
 
 
 def _check_antimono(case):
+    from .latency import antimonotone_latency
+
     n, delay, sequence, bits, upper = case
     base, _ = antimonotone_latency(sequence, delay, bits)
     failure = {"sequence": sequence, "bits": bits, "params": {"n": n, "Z": delay}}
@@ -272,6 +277,8 @@ def _draw_reduction(rng, idle_prob):
 
 
 def _check_reduction(case):
+    from .reduction import verify_domination
+
     k, delay, n, sequence, inner_name = case
     inner = make_policy(inner_name)
     try:
@@ -295,6 +302,10 @@ _SUITES = {
     "antimono": (_draw_antimono, _check_antimono),
     "reduction": (_draw_reduction, _check_reduction),
 }
+
+# the module each suite's check imports, loaded before a pool forks so
+# that its workers inherit it instead of each compiling it again
+_SUITE_MODULES = {"latency": "latency", "antimono": "latency", "reduction": "reduction"}
 
 # cases per task sent to a check worker
 _CHECK_CHUNK = 64
@@ -361,6 +372,7 @@ def cmd_check(args):
     if not 0 <= args.idle_prob < 1:
         raise ValueError(f"--idle-prob must be in [0, 1), got {args.idle_prob}")
     draw, check = _SUITES[args.suite]
+    import_module(f"{__package__}.{_SUITE_MODULES[args.suite]}")
     rng = random.Random(args.seed)
     # drawn in order as the mapper takes them, so the sweep never holds them all
     cases = (draw(rng, args.idle_prob) for _ in range(args.cases))
@@ -444,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# items per %-formatted slice of an all-int list in a report
+# items per slice of an all-int list that one json.dumps call formats
 _INT_SLICE = 4096
 
 
@@ -454,12 +466,14 @@ def _json_chunks(value, newline="\n"):
     Two shapes are formatted here: a non-empty dict with all-str keys,
     walked key by key to reach the vectors inside, and a non-empty list of
     plain ints (bools excluded), where a long report's bytes are,
-    %-formatted ``_INT_SLICE`` items at a time (``"%d"`` spells an exact
-    int as ``str`` does, and the slices bound the writer's memory). Any
-    other value is one ``json.dumps`` call, re-indented if a container
-    (json escapes a newline inside a string), so every other rule, and the
-    TypeError for anything unencodable, is json's own. ``newline`` is a
-    line break followed by the indent of the line ``value`` starts on.
+    ``_INT_SLICE`` items at a time: each slice is one flat ``json.dumps``
+    with the line break and indent as its item separator, which json's C
+    encoder formats since it takes no indent, and the slices bound the
+    writer's memory. Any other value is one ``json.dumps`` call,
+    re-indented if a container (json escapes a newline inside a string),
+    so every other rule, and the TypeError for anything unencodable, is
+    json's own. ``newline`` is a line break followed by the indent of the
+    line ``value`` starts on.
     """
     if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
         inner = newline + "  "
@@ -474,8 +488,8 @@ def _json_chunks(value, newline="\n"):
         sep = "," + inner
         opener = "[" + inner
         for start in range(0, len(value), _INT_SLICE):
-            part = tuple(value[start:start + _INT_SLICE])
-            yield opener + sep.join(["%d"] * len(part)) % part
+            part = json.dumps(value[start:start + _INT_SLICE], separators=(sep, ":"))
+            yield opener + part[1:-1]
             opener = sep
         yield newline + "]"
     elif isinstance(value, (dict, list, tuple)):

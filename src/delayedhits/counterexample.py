@@ -15,15 +15,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from . import policies
-from .model import ModelParams, VerificationError
+from . import search
+from .model import DEFAULT_SEARCH_BUDGET, ModelParams, SearchBudgetExceeded, VerificationError
 from .latency import delayed_hits_latency, antimonotone_latency, dominates
-from .policies import (
-    DEFAULT_SEARCH_BUDGET,
-    SearchBudgetExceeded,
-    brute_force_opt,
-    optimal_hit_sequences,
-)
+from .search import brute_force_opt, optimal_hit_sequences
 
 
 class BuildingBlock(namedtuple("BuildingBlock", "sequence all_miss_latency first_hit_latency")):
@@ -202,8 +197,8 @@ def verify_nonantimonotonicity(
     runs = overrun = None
     if check_optimal:
         try:
-            _, runs, _ = policies._search(params, seq, node_budget=node_budget,
-                                          limit=low, avoid=b)
+            _, runs, _ = search._search(params, seq, node_budget=node_budget,
+                                        limit=low, avoid=b)
         except SearchBudgetExceeded as exc:
             overrun = exc
     # a run of the baseline and none of another vector costing low or less
@@ -213,13 +208,13 @@ def verify_nonantimonotonicity(
         # each feasibility search is is_hit_sequence_feasible's, handed the
         # closed-form latency computed above as its limit
         if not settled:
-            _, runs, _ = policies._search(params, seq, node_budget=node_budget, target=b, limit=low)
+            _, runs, _ = search._search(params, seq, node_budget=node_budget, target=b, limit=low)
             if not runs:
                 raise VerificationError("baseline hit sequence is not feasible")
         (witness,) = runs.values()
         report = report._replace(baseline_witness=witness)
         step = "extra-hit feasibility"
-        _, runs, _ = policies._search(params, seq, node_budget=node_budget, target=b_hi, limit=high)
+        _, runs, _ = search._search(params, seq, node_budget=node_budget, target=b_hi, limit=high)
         if not runs:
             raise VerificationError("extra-hit hit sequence is not feasible")
         (witness,) = runs.values()

@@ -21,13 +21,12 @@ so the functions are total over all 0/1 vectors of the trace's length.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 
 def _latency(sequence, delay, bits, fetch_on_hit) -> tuple[int, list[int]]:
     """The rule above in one walk: each item keeps its dispatch times in a
-    list with a cursor at the oldest one still in flight. Idle slots are
-    skipped, so their bits are only checked, never pinned."""
+    list with a cursor at the oldest one still in flight, both in plain
+    dicts. Idle slots are skipped, so their bits are only checked, never
+    pinned."""
     if len(bits) != len(sequence):
         raise ValueError(
             f"hit sequence length {len(bits)} != trace length {len(sequence)}"
@@ -36,16 +35,20 @@ def _latency(sequence, delay, bits, fetch_on_hit) -> tuple[int, list[int]]:
         bad = next(bit for bit in bits if bit not in (0, 1))
         raise ValueError(f"hit bits must be 0 or 1, got {bad!r}")
     per = [0] * len(sequence)
-    dispatched = defaultdict(lambda: [0, []])
-    for t, (item, hit) in enumerate(zip(sequence, bits), start=1):
+    dispatched, cursors = {}, {}
+    t = 0
+    for item, hit in zip(sequence, bits):
+        t += 1
         if item == 0 or (hit and not fetch_on_hit):
             continue
-        entry = dispatched[item]
-        i, times = entry
+        times = dispatched.get(item)
+        if times is None:
+            times = dispatched[item] = []
         times.append(t)
+        i = cursors.get(item, 0)
         while times[i] <= t - delay:
             i += 1
-        entry[0] = i
+        cursors[item] = i
         if not hit:
             per[t - 1] = delay - (t - times[i])
     return sum(per), per

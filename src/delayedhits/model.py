@@ -49,6 +49,14 @@ class VerificationError(Exception):
     """A checked property failed; the message names the violated check."""
 
 
+class SearchBudgetExceeded(Exception):
+    """The instance is too large for the exhaustive search budget."""
+
+
+# decision nodes an exhaustive search may visit unless told otherwise
+DEFAULT_SEARCH_BUDGET = 2**22
+
+
 class ModelParams(namedtuple("ModelParams", "num_items cache_size delay mode")):
     """Instance parameters: item universe, cache capacity, fetch delay, variant.
 

@@ -15,7 +15,8 @@ class TraceError(Exception):
     """The trace file cannot be read or fails validation."""
 
 
-# lines per chunk that parse_trace converts in one map(int, ...) pass
+# lines per chunk that parse_trace converts in one map(int, ...) pass, and
+# that write_trace formats in one %-formatting
 _PARSE_CHUNK = 4096
 
 
@@ -71,8 +72,9 @@ def read_trace(path) -> list[int]:
 def write_trace(path, sequence) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for item in sequence:
-                fh.write(f"{item}\n")
+            for start in range(0, len(sequence), _PARSE_CHUNK):
+                part = tuple(sequence[start:start + _PARSE_CHUNK])
+                fh.write("%d\n" * len(part) % part)
     except OSError as exc:
         raise TraceError(f"cannot write trace {path}: {exc}") from None
 

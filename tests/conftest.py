@@ -38,7 +38,7 @@ def calls(monkeypatch):
 
 
 def search_names(searches):
-    """Each recorded ``policies._search`` call by what it searches for: the
+    """Each recorded ``search._search`` call by what it searches for: the
     first deviation from the baseline, a target's first run, or the
     optimum (ge)."""
     return ["avoid" if call["avoid"] is not None else

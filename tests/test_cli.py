@@ -15,7 +15,17 @@ from pathlib import Path
 
 import pytest
 
-from delayedhits import InfeasibleEvictionError, ReductionPolicy, VerificationError, cli, policies
+from delayedhits import (
+    InfeasibleEvictionError,
+    ReductionPolicy,
+    SearchBudgetExceeded,
+    VerificationError,
+    cli,
+    latency,
+    policies,
+    reduction,
+    search,
+)
 from delayedhits.cli import main
 from delayedhits.traces import random_sequence, read_trace, write_trace
 
@@ -154,7 +164,7 @@ def test_counterexample_overrun_names_the_optimum_search_that_overran(capsys, ca
         if arguments["avoid"] is not None:
             arguments["node_budget"] = 16
 
-    searches = calls(policies, "_search", edit=own_budget)
+    searches = calls(search, "_search", edit=own_budget)
     code, report = run_cli(
         capsys, "counterexample", "-Z", "26", "-k", "7", "--oracle-check",
         "--search-budget", "40",
@@ -245,7 +255,8 @@ def test_reduce_command(tmp_path, capsys):
 
 def test_reduce_reports_a_failed_domination(tmp_path, capsys, monkeypatch):
     trace = write_lines(tmp_path / "t.txt", [0, 1, 3, 5, 2, 0, 2])
-    monkeypatch.setattr(cli, "verify_domination", _reject_delay_two(cli.verify_domination))
+    monkeypatch.setattr(reduction, "verify_domination",
+                        _reject_delay_two(reduction.verify_domination))
     code, report = run_cli(capsys, "reduce", trace, "-k", "1", "-Z", "2")
     assert code == 1
     assert report["results"] == {"dominates": False, "violation": "injected fault at Z=2"}
@@ -508,11 +519,11 @@ def _wrong_optimum(real):
         (["reduce", "NEGATIVE"], None, 2, "line 2: requests must be nonnegative"),
         (["simulate", "TRACE", "-n", "3"], None, 2, "request at t=2 is 49, outside 0..3"),
         # shipped policies never propose infeasible evictions, so force one
-        (["simulate", "TRACE"], ("simulate", _raising(InfeasibleEvictionError(5, 2))), 3,
+        (["simulate", "TRACE"], (cli, "simulate", _raising(InfeasibleEvictionError(5, 2))), 3,
          "infeasible eviction of item 2 at t=5: item not resident"),
         (["simulate", "TRACE"],
-         ("simulate", _raising(policies.SearchBudgetExceeded("too large"))), 4, "too large"),
-        (["adversary", "--oracle-check"], ("brute_force_opt", _wrong_optimum), 1,
+         (cli, "simulate", _raising(SearchBudgetExceeded("too large"))), 4, "too large"),
+        (["adversary", "--oracle-check"], (search, "brute_force_opt", _wrong_optimum), 1,
          "exhaustive optimum 5 != witnessed optimum 4"),
         (["check", "--cases", "1", "--out", "NODIR/x.json"], None, 2,
          "cannot write report NODIR/x.json: [Errno 2] No such file or directory: "
@@ -585,8 +596,8 @@ def test_main_maps_each_error_to_its_exit_code(
         return text
 
     if patch is not None:
-        target, fault = patch
-        monkeypatch.setattr(cli, target, fault(getattr(cli, target)))
+        owner, target, fault = patch
+        monkeypatch.setattr(owner, target, fault(getattr(owner, target)))
     assert main([named(arg) for arg in argv]) == code
     assert capsys.readouterr() == ("", f"error: {named(message)}\n")
 
@@ -607,7 +618,7 @@ def test_exit_code_exceptions_survive_pickling():
     # a check worker sends what it raises to the parent through pickle
     examples = [eval(text, vars(cli)) for text in _EXIT_EXAMPLES]
     assert {type(exc) for exc in examples} == set(cli._EXIT_CODES)
-    budget = policies.SearchBudgetExceeded("overrun")
+    budget = SearchBudgetExceeded("overrun")
     budget.report = {"partial": True}
     for exc in [*examples, budget]:
         copy = pickle.loads(pickle.dumps(exc))
@@ -687,11 +698,12 @@ def test_an_interrupted_pooled_sweep_terminates_its_pool(monkeypatch, calls):
     assert multiprocessing.active_children() == []
 
 
-# the layer each suite's check calls, patched to see where checks run
+# the layer each suite's check calls, and the module it reads the call
+# from, patched to see where checks run
 _CHECKED_CALL = {
-    "latency": "simulate",
-    "antimono": "antimonotone_latency",
-    "reduction": "verify_domination",
+    "latency": (cli, "simulate"),
+    "antimono": (latency, "antimonotone_latency"),
+    "reduction": (reduction, "verify_domination"),
 }
 
 
@@ -717,7 +729,7 @@ def _sweep(capsys, monkeypatch, calls, cpus, argv):
         drawn.update(_drawn(case))
         return case
 
-    checks = calls(cli, _CHECKED_CALL[suite])
+    checks = calls(*_CHECKED_CALL[suite])
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_usable_cpus", lambda: cpus)
         patch.setattr(cli, "_SUITES", {**cli._SUITES, suite: (recorded_draw, check)})
@@ -751,13 +763,13 @@ _FAILURE_KEYS = {
 @pytest.mark.parametrize(
     "suite,target,fault,cases,seed,failures,first_case,keys",
     [
-        ("latency", "delayed_hits_latency", _off_by_one_when_length_divides_by_3,
+        ("latency", (latency, "delayed_hits_latency"), _off_by_one_when_length_divides_by_3,
          60, 23, 18, 10, "latency"),
-        ("antimono", "antimonotone_latency", _penalize_two_mod_four_hits,
+        ("antimono", (latency, "antimonotone_latency"), _penalize_two_mod_four_hits,
          80, 4, 20, 16, "flip"),
-        ("antimono", "antimonotone_latency", _penalize_two_mod_four_hits,
+        ("antimono", (latency, "antimonotone_latency"), _penalize_two_mod_four_hits,
          80, 30, 27, 2, "pair"),
-        ("reduction", "verify_domination", _reject_delay_two,
+        ("reduction", (reduction, "verify_domination"), _reject_delay_two,
          40, 10, 7, 7, "reduction"),
     ],
     ids=["latency", "antimono-flip", "antimono-pair", "reduction"],
@@ -767,7 +779,8 @@ def test_check_failing_sweep_reports_first_failure(
 ):
     # a small chunk sends even these short sweeps to the pool
     monkeypatch.setattr(cli, "_CHECK_CHUNK", 16)
-    monkeypatch.setattr(cli, target, fault(getattr(cli, target)))
+    owner, name = target
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
     argv = ["check", "--suite", suite, "--cases", str(cases), "--seed", str(seed)]
     pooled = _sweep(capsys, monkeypatch, calls, 2, argv)
     alone = _sweep(capsys, monkeypatch, calls, 1, argv)

@@ -18,7 +18,7 @@ from delayedhits import (
     replay,
     verify_nonantimonotonicity,
 )
-from delayedhits import counterexample, latency, policies
+from delayedhits import counterexample, latency, search
 from delayedhits.model import Simulation, VerificationError
 
 from conftest import search_names
@@ -160,7 +160,7 @@ def test_first_deviation_table_holds_only_taken_choices():
     low, _ = delayed_hits_latency(seq, cspec.delay, bits)
     tracemalloc.start()
     try:
-        _, runs, nodes = policies._search(cspec.params(), seq, 10**6, limit=low, avoid=bits)
+        _, runs, nodes = search._search(cspec.params(), seq, 10**6, limit=low, avoid=bits)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -313,7 +313,7 @@ def test_fetch_on_hit_increase_is_refused(monkeypatch):
 
 
 def test_overrun_names_its_search_and_keeps_the_partial_report(calls):
-    searches = calls(policies, "_search")
+    searches = calls(search, "_search")
 
     cspec = counterexample_sequence(26, 7)
     with pytest.raises(SearchBudgetExceeded) as exc:

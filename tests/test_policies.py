@@ -13,6 +13,7 @@ from delayedhits import (
     LruPolicy,
     ModelParams,
     NeverCachePolicy,
+    SearchBudgetExceeded,
     Simulation,
     StaticPolicy,
     brute_force_opt,
@@ -23,7 +24,7 @@ from delayedhits import (
     replay,
     simulate,
 )
-from delayedhits.policies import POLICIES, SearchBudgetExceeded, draw_policy
+from delayedhits.policies import POLICIES, draw_policy
 from delayedhits.traces import draw_instance, random_sequence
 
 
@@ -262,7 +263,7 @@ def test_search_clones_only_surviving_choices(calls):
 def test_feasibility_search_reads_the_trace_once(calls):
     """One feasibility search builds each item's request times once, for
     its forced-latency bound, and walks the trace for no other table."""
-    reads = calls(delayedhits.policies, "request_times")
+    reads = calls(delayedhits.search, "request_times")
     spec = counterexample_sequence(26, 7)
     targets = (spec.baseline_bits, spec.extra_hit_bits, [0] * len(spec.sequence))
     for searches, bits in enumerate(targets, start=1):

@@ -1,8 +1,10 @@
 """The CLI's I/O layer against its references: the chunked report writer
-against ``json.dumps(indent=2, sort_keys=True)``, and the trace parser's
-int() fast path against the plain comment-and-strip rule."""
+against ``json.dumps(indent=2, sort_keys=True)``, the trace parser's
+int() fast path against the plain comment-and-strip rule, and the sliced
+trace writer against one line per item."""
 
 import json
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -12,7 +14,13 @@ from hypothesis import strategies as st
 
 from delayedhits import cli
 from delayedhits.cli import _INT_SLICE, _json_chunks
-from delayedhits.traces import _PARSE_CHUNK, TraceError, infer_num_items, parse_trace
+from delayedhits.traces import (
+    _PARSE_CHUNK,
+    TraceError,
+    infer_num_items,
+    parse_trace,
+    write_trace,
+)
 
 
 def reference_dump(value):
@@ -117,6 +125,19 @@ def test_writer_memory_is_bounded_by_a_slice():
         tracemalloc.stop()
     assert written == len(reference_dump({"v": vector}))
     assert peak < 1_000_000, f"writer peaked at {peak} bytes for {written} written"
+
+
+def test_writer_refuses_an_int_over_the_digit_limit_as_json_does():
+    # both spell an int as int.__repr__ does, which refuses one longer than
+    # the interpreter's limit on int-to-str digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter sets no limit on int-to-str digits")
+    value = {"v": [1, 10**limit]}
+    with pytest.raises(ValueError):
+        reference_dump(value)
+    with pytest.raises(ValueError):
+        chunked_dump(value)
 
 
 @pytest.mark.parametrize(
@@ -252,3 +273,14 @@ def test_parse_trace_names_the_first_bad_line_across_chunks():
 def test_infer_num_items(sequence, expected):
     # the universe -n defaults to when a trace is given without it
     assert infer_num_items(sequence) == expected
+
+
+@pytest.mark.parametrize(
+    "sequence",
+    [[], [0, 0, 0], tuple(i * 7919 % 10**9 for i in range(2 * _PARSE_CHUNK + 3))],
+    ids=["empty", "all-idle", "across-slices"],
+)
+def test_write_trace_writes_one_line_per_item(tmp_path, sequence):
+    path = tmp_path / "t.txt"
+    write_trace(path, sequence)
+    assert path.read_bytes() == "".join(f"{i}\n" for i in sequence).encode()

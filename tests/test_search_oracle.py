@@ -24,7 +24,8 @@ from delayedhits import (
     optimal_hit_sequences,
     replay,
 )
-from delayedhits.policies import RandomEvictionPolicy, _branches, _forced_terms, _key, _search
+from delayedhits.policies import RandomEvictionPolicy
+from delayedhits.search import _branches, _forced_terms, _key, _search
 from delayedhits.traces import random_sequence, request_times
 
 from conftest import paused_run

@@ -25,7 +25,8 @@ from delayedhits import (
     optimal_hit_sequences,
     simulate,
 )
-from delayedhits.policies import RandomEvictionPolicy, _search
+from delayedhits.policies import RandomEvictionPolicy
+from delayedhits.search import _search
 from delayedhits.traces import random_sequence
 
 S, A = STANDARD, ANTIMONOTONE

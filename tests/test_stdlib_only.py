@@ -1,7 +1,7 @@
 """The core package imports nothing outside the standard library, and its
-start-up skips the modules that only dataclasses, or only the adversary
-and counterexample commands, would bring in, and builds no argument
-parser."""
+start-up skips the modules that only dataclasses would bring in, and
+builds no argument parser. Start-up loads the model, the policies and
+the trace I/O; each command loads the rest of what it runs when it runs."""
 
 import ast
 import os
@@ -46,19 +46,55 @@ def _probe(code):
     ).stdout
 
 
+# the submodules, and the one stdlib module, that load on first use only
+_DEFERRED = ("delayedhits.latency", "delayedhits.search", "delayedhits.reduction",
+             "delayedhits.adversary", "delayedhits.counterexample", "fractions")
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # the records are named tuples and a slotted class, so start-up skips
     # dataclasses, inspect and the ast, dis and tokenize that inspect loads;
-    # the two constructions, and fractions with them, load on first use,
-    # and check's pool of workers only when it runs one; the argument
-    # parser is built on the first call
-    unwanted = {"dataclasses", "inspect", "fractions", "multiprocessing",
-                "delayedhits.adversary", "delayedhits.counterexample"}
+    # the closed forms, the searches, the k+Z wrapper and the two
+    # constructions, and fractions with them, load on first use, and
+    # check's pool of workers only when it runs one; the argument parser
+    # is built on the first call
+    unwanted = {"dataclasses", "inspect", "multiprocessing", *_DEFERRED}
     probe = (
         "import sys, delayedhits.cli as cli; "
         f"print(sorted({unwanted!r} & set(sys.modules)), cli._parser)"
     )
     assert _probe(probe) == "[] None\n"
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        (["simulate", "TRACE", "--policy", "belady"], set()),
+        (["reduce", "TRACE"], {"reduction"}),
+        # five cases are one chunk, so the check runs in this process
+        (["check", "--suite", "antimono", "--cases", "5"], {"latency"}),
+        (["check", "--suite", "latency", "--cases", "5"], {"latency"}),
+        (["check", "--suite", "reduction", "--cases", "5"], {"reduction"}),
+        (["adversary", "-k", "2", "-Z", "3"], {"adversary", "fractions"}),
+        (["adversary", "-k", "2", "-Z", "3", "--oracle-check"],
+         {"adversary", "fractions", "search", "latency"}),
+        (["counterexample", "-Z", "6", "-k", "1"], {"counterexample", "search", "latency"}),
+    ],
+    ids=["simulate", "reduce", "check-antimono", "check-latency",
+         "check-reduction", "adversary", "adversary-oracle", "counterexample"],
+)
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, loaded):
+    trace = tmp_path / "t.txt"
+    trace.write_text("1\n3\n0\n2\n1\n", encoding="utf-8")
+    argv = [str(trace) if arg == "TRACE" else arg for arg in argv]
+    argv += ["--out", str(tmp_path / "report.json")]
+    probe = (
+        "import sys, delayedhits.cli as cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        f"print(sorted(set(sys.modules).intersection({_DEFERRED!r})))"
+    )
+    expected = sorted(name if name == "fractions" else f"delayedhits.{name}" for name in loaded)
+    assert _probe(probe) == f"{expected}\n"
 
 
 def test_star_import_binds_each_public_name_to_its_defining_modules_object():
