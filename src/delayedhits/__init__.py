@@ -63,46 +63,29 @@ _LAZY = {
     "verify_nonantimonotonicity": "counterexample",
 }
 
-__all__ = [
+__all__ = sorted([
     "ANTIMONOTONE",
     "STANDARD",
-    "AdversaryReport",
-    "BeladyPolicy",
-    "CounterexampleSpec",
-    "FifoPolicy",
     "InfeasibleEvictionError",
-    "LruPolicy",
     "ModelParams",
-    "NeverCachePolicy",
-    "OptResult",
-    "Policy",
-    "ReductionPolicy",
     "SearchBudgetExceeded",
     "Simulation",
     "SimulationResult",
-    "StaticPolicy",
     "VerificationError",
-    "antimonotone_latency",
-    "brute_force_opt",
-    "build_adversarial_sequence",
-    "building_block",
-    "bursty_segment",
-    "counterexample_sequence",
-    "delayed_hits_latency",
-    "dominates",
-    "is_hit_sequence_feasible",
-    "make_policy",
-    "optimal_hit_sequences",
-    "pure_segment",
-    "random_sequence",
-    "read_trace",
-    "reduction_outer_params",
     "replay",
     "simulate",
-    "verify_domination",
-    "verify_nonantimonotonicity",
+    "BeladyPolicy",
+    "FifoPolicy",
+    "LruPolicy",
+    "NeverCachePolicy",
+    "Policy",
+    "StaticPolicy",
+    "make_policy",
+    "random_sequence",
+    "read_trace",
     "write_trace",
-]
+    *_LAZY,
+])
 
 
 def __getattr__(name):

@@ -128,21 +128,15 @@ def cmd_adversary(args):
     report = build_adversarial_sequence(_policy_for(args, params), params, cap=args.cap)
     if args.trace_out:
         write_trace(args.trace_out, report.sequence)
-    results = {
-        "trace": report.sequence,
-        "trace_length": len(report.sequence),
-        "segments": [
-            {"kind": seg.kind, "item": seg.item} for seg in report.segments
-        ],
-        "policy_latency": report.policy_latency,
-        "opt_latency": report.opt_latency,
-        "opt_witness_item": report.opt_witness_item,
-        "marked": sorted(report.marked),
-        "bursty_count": report.bursty_count,
-        "capped": report.capped,
-        "ratio_lower_bound": _ratio_json(report.ratio_lower_bound),
-        "oracle_opt": None,
-    }
+    results = report._asdict()
+    results.update(
+        trace=results.pop("sequence"),
+        trace_length=len(report.sequence),
+        segments=[{"kind": seg.kind, "item": seg.item} for seg in report.segments],
+        marked=sorted(report.marked),
+        ratio_lower_bound=_ratio_json(report.ratio_lower_bound),
+        oracle_opt=None,
+    )
     code = EXIT_OK
     if args.oracle_check:
         from .search import brute_force_opt
@@ -293,19 +287,17 @@ def _check_reduction(case):
     return None
 
 
-# each suite is (draw, check): draw(rng, idle_prob) takes every random
-# draw of one case from the sweep's one rng, so a case depends on the seed
-# alone; check(case) uses no rng and returns a failure description, or
-# None when the case passes
+# each suite is (draw, check, module): draw(rng, idle_prob) takes every
+# random draw of one case from the sweep's one rng, so a case depends on
+# the seed alone; check(case) uses no rng and returns a failure
+# description, or None when the case passes; module is the one check
+# imports, loaded before a pool forks so that its workers inherit it
+# instead of each compiling it again
 _SUITES = {
-    "latency": (_draw_latency, _check_latency),
-    "antimono": (_draw_antimono, _check_antimono),
-    "reduction": (_draw_reduction, _check_reduction),
+    "latency": (_draw_latency, _check_latency, "latency"),
+    "antimono": (_draw_antimono, _check_antimono, "latency"),
+    "reduction": (_draw_reduction, _check_reduction, "reduction"),
 }
-
-# the module each suite's check imports, loaded before a pool forks so
-# that its workers inherit it instead of each compiling it again
-_SUITE_MODULES = {"latency": "latency", "antimono": "latency", "reduction": "reduction"}
 
 # cases per task sent to a check worker
 _CHECK_CHUNK = 64
@@ -371,8 +363,8 @@ def cmd_check(args):
         raise ValueError(f"--cases must be positive, got {args.cases}")
     if not 0 <= args.idle_prob < 1:
         raise ValueError(f"--idle-prob must be in [0, 1), got {args.idle_prob}")
-    draw, check = _SUITES[args.suite]
-    import_module(f"{__package__}.{_SUITE_MODULES[args.suite]}")
+    draw, check, module = _SUITES[args.suite]
+    import_module(f"{__package__}.{module}")
     rng = random.Random(args.seed)
     # drawn in order as the mapper takes them, so the sweep never holds them all
     cases = (draw(rng, args.idle_prob) for _ in range(args.cases))

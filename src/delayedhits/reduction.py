@@ -46,6 +46,11 @@ class ReductionPolicy(Policy):
     the inner cache and the last ``delay`` requests, idle slots included,
     so timesteps t - delay + 1..t; one provably always exists. This is the
     policy B built from A; run it under :func:`reduction_outer_params`.
+
+    Window invariant: at every decision the item being cached is the
+    request at t - delay + 1, the oldest entry of a full ``recent``, so
+    no resident was last requested then. Protecting only the last
+    ``delay - 1`` requests would therefore pick the same victims.
     """
 
     name = "reduction"

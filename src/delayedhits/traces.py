@@ -1,9 +1,10 @@
 """Trace files: one nonnegative integer per line, 0 meaning an idle slot.
 
 Files are read a chunk of lines at a time; lines end at universal
-newlines (LF, CRLF or CR). Blank lines and '#' comments are ignored. When
-no universe size is given it is inferred as the largest item in the
-trace (minimum 1 so parameters stay valid for all-idle traces).
+newlines (LF, CRLF or CR), after a UTF-8 byte-order mark if the file
+opens with one. Blank lines and '#' comments are ignored. When no
+universe size is given it is inferred as the largest item in the trace
+(minimum 1 so parameters stay valid for all-idle traces).
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ def _parse_lines(lines, lineno) -> list[int]:
 
 def read_trace(path) -> list[int]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, which some editors write
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return parse_trace(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise TraceError(f"cannot read trace {path}: {exc}") from None

@@ -19,6 +19,7 @@ from delayedhits.traces import (
     TraceError,
     infer_num_items,
     parse_trace,
+    read_trace,
     write_trace,
 )
 
@@ -284,3 +285,11 @@ def test_write_trace_writes_one_line_per_item(tmp_path, sequence):
     path = tmp_path / "t.txt"
     write_trace(path, sequence)
     assert path.read_bytes() == "".join(f"{i}\n" for i in sequence).encode()
+
+
+def test_read_trace_skips_a_byte_order_mark(tmp_path):
+    bare = tmp_path / "bare.txt"
+    write_trace(bare, [3, 0, 12, 3])
+    marked = tmp_path / "bom.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + bare.read_bytes())
+    assert read_trace(marked) == read_trace(bare) == [3, 0, 12, 3]
