@@ -225,6 +225,26 @@ def test_counterexample_trace_roundtrip(tmp_path, capsys):
     assert read_trace(out) == report["results"]["sequence"]
 
 
+def test_check_latency_at_spec_scale(capsys):
+    code, report = run_cli(
+        capsys, "check", "--suite", "latency", "--cases", "1000", "--seed", "7"
+    )
+    assert code == 0
+    assert report["results"]["passed"] == 1000
+
+
+def test_reduce_command(tmp_path, capsys):
+    trace = write_lines(tmp_path / "t.txt", [0, 1, 3, 5, 2, 0, 2])
+    code, report = run_cli(
+        capsys, "reduce", trace, "--policy", "lru", "-k", "1", "-Z", "3"
+    )
+    assert code == 0
+    results = report["results"]
+    assert results["dominates"]
+    assert results["outer_total"] <= results["inner_total"]
+    assert results["outer_cache_size"] == 4
+
+
 def test_reduce_reports_a_failed_domination(tmp_path, capsys, monkeypatch):
     trace = write_lines(tmp_path / "t.txt", [0, 1, 3, 5, 2, 0, 2])
     monkeypatch.setattr(reduction, "verify_domination",
@@ -421,6 +441,13 @@ def test_report_bytes_are_pinned(tmp_path, capsys, argv, code, digest):
     # run_cli asserted that stdout holds exactly these bytes
     out = json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_envelope_params_schema(capsys):
+    code, report = run_cli(capsys, "check", "--suite", "latency", "--cases", "5")
+    assert code == 0
+    assert set(report["params"]) == {"n", "k", "Z", "mode", "policy", "seed"}
+    assert report["version"]
 
 
 def _off_by_one_when_length_divides_by_3(real):

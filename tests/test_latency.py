@@ -1,5 +1,4 @@
-"""Closed-form latency functions against their plain definition and each
-other; the acceptance gate's criterion 1 checks them against the simulator."""
+"""Closed-form latency functions against the simulator and each other."""
 
 import random
 
@@ -7,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayedhits import antimonotone_latency, delayed_hits_latency, dominates
+from delayedhits import (
+    ANTIMONOTONE,
+    ModelParams,
+    antimonotone_latency,
+    delayed_hits_latency,
+    dominates,
+    simulate,
+)
+from delayedhits.policies import draw_policy
 from delayedhits.traces import draw_instance
 
 
@@ -149,3 +156,16 @@ def test_closed_forms_match_the_plain_definition(case):
     seq, delay, bits = case
     assert delayed_hits_latency(seq, delay, bits) == _scan_latency(seq, delay, bits, False)
     assert antimonotone_latency(seq, delay, bits) == _scan_latency(seq, delay, bits, True)
+
+
+def test_simulation_matches_closed_forms():
+    rng = random.Random(29)
+    for _ in range(200):
+        k, delay, n, seq = draw_instance(rng)
+        policy = draw_policy(rng, seq, k, n)
+        run = simulate(ModelParams(n, k, delay), seq, policy)
+        total, per = delayed_hits_latency(seq, delay, run.hit_sequence)
+        assert (total, per) == (run.total_latency, run.per_request_latency)
+        run = simulate(ModelParams(n, k, delay, ANTIMONOTONE), seq, policy)
+        total, per = antimonotone_latency(seq, delay, run.hit_sequence)
+        assert (total, per) == (run.total_latency, run.per_request_latency)

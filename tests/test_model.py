@@ -28,6 +28,13 @@ from delayedhits.traces import draw_instance, random_sequence
 from conftest import paused_run
 
 
+@pytest.mark.parametrize("delay", range(1, 11))
+def test_cold_burst_costs_triangular_sum(delay):
+    params = ModelParams(3, 2, delay)
+    result = simulate(params, [3] * delay, LruPolicy())
+    assert result.total_latency == delay * (delay + 1) // 2
+
+
 def test_burst_latencies_count_down():
     result = simulate(ModelParams(3, 2, 3), [3, 3, 3], NeverCachePolicy())
     assert result.per_request_latency == [3, 2, 1]
@@ -229,6 +236,16 @@ def test_identical_runs_are_identical():
         first = simulate(params, seq, policy)
         second = simulate(params, seq, policy)
         assert first == second
+
+
+def test_delay_one_collapses_to_classical_caching():
+    rng = random.Random(23)
+    for _ in range(50):
+        k, _, n, seq = draw_instance(rng)
+        policy = draw_policy(rng, seq, k, n)
+        result = simulate(ModelParams(n, k, 1), seq, policy)
+        misses = sum(1 for item, bit in zip(seq, result.hit_sequence) if item and not bit)
+        assert result.total_latency == misses
 
 
 def test_latency_range_and_hit_zero_link():

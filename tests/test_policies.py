@@ -88,6 +88,17 @@ def test_belady_empty_future_evicts_smallest():
     assert result.eviction_sequence == [1]
 
 
+def test_belady_is_optimal_at_delay_one():
+    rng = random.Random(71)
+    for _ in range(60):
+        k = rng.randint(1, 3)
+        n = k + rng.randint(1, 2)
+        seq = random_sequence(rng, n, rng.randint(1, 14), 0.15)
+        params = ModelParams(n, k, 1)
+        mine = simulate(params, seq, BeladyPolicy(seq)).total_latency
+        assert mine == brute_force_opt(params, seq).min_latency
+
+
 @pytest.mark.parametrize("mode", [STANDARD, ANTIMONOTONE])
 def test_belady_is_optimal_at_delay_one_where_the_cuts_fire(mode):
     # 60 requests at n=6, k=3: each search visits about 2000 decision

@@ -59,6 +59,31 @@ def test_domination_on_the_extra_hit_trace():
             assert report.outer_total <= report.inner_total
 
 
+@pytest.mark.parametrize("wide", [True, False], ids=["n>k+Z", "n<=k+Z"])
+def test_domination_sweep(calls, wide):
+    # a universe of at most k + delay items fits in the wrapper's cache, so
+    # only the wide draw is sure to reach its eviction rule
+    decisions = calls(ReductionPolicy, "choose_eviction")
+    rng = random.Random(2025 if wide else 2024)
+    cases, reached = 300, 0
+    for _ in range(cases):
+        k = rng.randint(1, 3)
+        delay = rng.randint(1, 6)
+        if wide:
+            n = k + delay + rng.randint(1, 4)
+            seq = random_sequence(rng, n, rng.randint(1, 200))
+        else:
+            n = rng.randint(2, 8)
+            seq = random_sequence(rng, n, rng.randint(1, 60))
+        inner = LruPolicy() if rng.random() < 0.5 else FifoPolicy()
+        before = len(decisions)
+        report = verify_domination(seq, inner, ModelParams(n, k, delay))
+        assert report.outer_total <= report.inner_total
+        reached += len(decisions) > before
+    if wide:
+        assert reached >= 3 * cases // 4
+
+
 def test_outer_cache_is_exactly_k_plus_delay():
     inner_params = ModelParams(6, 2, 4)
     outer = reduction_outer_params(inner_params)
