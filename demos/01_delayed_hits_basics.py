@@ -8,7 +8,7 @@ those are the delayed hits. This script walks the mechanics on tiny
 traces where every number can be checked by hand.
 """
 
-from delayedhits import LruPolicy, ModelParams, NeverCachePolicy, replay, simulate
+from delayedhits import LruPolicy, ModelParams, NeverCachePolicy, cache_history, replay, simulate
 
 
 def show(title, result):
@@ -49,9 +49,11 @@ def main():
     print("=" * 72)
     # cache item 2 when its fetch returns at t=2 (evicting 1): the third
     # request becomes a hit
-    result = replay(ModelParams(2, 1, 2), [2, 0, 2], [0, 1, 0])
+    params, trace, schedule = ModelParams(2, 1, 2), [2, 0, 2], [0, 1, 0]
+    result = replay(params, trace, schedule)
     show("schedule: do nothing, evict 1 for 2 at t=2, do nothing", result)
-    print(f"  cache history: {[sorted(s) for s in result.cache_history]}")
+    history = cache_history(params, trace, schedule)
+    print(f"  cache history: {[sorted(s) for s in history]}")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from .model import (
     Simulation,
     SimulationResult,
     VerificationError,
+    cache_history,
     replay,
     simulate,
 )
@@ -72,6 +73,7 @@ __all__ = sorted([
     "Simulation",
     "SimulationResult",
     "VerificationError",
+    "cache_history",
     "replay",
     "simulate",
     "BeladyPolicy",

@@ -85,28 +85,11 @@ class ModelParams(namedtuple("ModelParams", "num_items cache_size delay mode")):
 
 
 class SimulationResult(namedtuple("SimulationResult", "hit_sequence per_request_latency "
-                                  "eviction_sequence total_latency initial_cache insertions")):
-    """Everything observable from one run, final at its last request.
-
-    The cache contents are not stored per step: ``cache_history`` is
-    rebuilt on access from the initial cache, the eviction sequence and
-    ``insertions``, the item cached at each nonzero eviction, in order.
-    """
+                                  "eviction_sequence total_latency")):
+    """Everything a run decides, final at its last request. The cache is
+    not stored: :func:`cache_history` rebuilds it from the evictions."""
 
     __slots__ = ()
-
-    @property
-    def cache_history(self) -> list[frozenset[int]]:
-        """The cache before the first step and after each step: O(T·k) to build."""
-        cache = set(self.initial_cache)
-        history = [frozenset(cache)]
-        inserted = iter(self.insertions)
-        for evicted in self.eviction_sequence:
-            if evicted:
-                cache.remove(evicted)
-                cache.add(next(inserted))
-            history.append(frozenset(cache))
-        return history
 
 
 def validate_sequence(params: ModelParams, sequence) -> None:
@@ -133,9 +116,9 @@ class Simulation:
     Every structure is keyed by item or by time and holds only what is in
     flight, so one request costs O(1) amortised work and a run holds O(T)
     memory whatever the item ids are: one latency per step, which gives
-    its hit bit, and three list slots per eviction in ``log``, a flat list
+    its hit bit, and two list slots per eviction in ``log``, a flat list
     the run owns. Only :meth:`clone` and :meth:`result` read the log; the
-    result gives it out as the eviction sequence and the items cached.
+    result gives it out as the eviction sequence.
     """
 
     def __init__(self, params: ModelParams):
@@ -152,7 +135,7 @@ class Simulation:
         self.fetch_times = {}  # item -> (first, last) return time in flight
         self.later = {}        # return time -> the same item's next one
         self.per_request_latency = []  # a hit costs 0, a miss at least 1
-        self.log = []  # t, victim, item cached: three slots per eviction
+        self.log = []  # t, victim: two slots per eviction
         # latency of every request so far, exact, not a bound: a miss's serving
         # fetch (the earliest same-item one then in flight) is fixed when it misses
         self.committed = 0
@@ -176,7 +159,7 @@ class Simulation:
             raise InfeasibleEvictionError(self.t, eviction)
         del self.cache[eviction]
         self.cache[returned] = None
-        self.log.extend((self.t, eviction, returned))
+        self.log.extend((self.t, eviction))
         assert len(self.cache) == self.params.cache_size
 
     def step(self, item: int, policy=None) -> int | None:
@@ -251,14 +234,14 @@ class Simulation:
         This ends the run: the result takes over the latency list instead
         of copying it, so the simulation must not be stepped afterwards;
         the hit bits are derived, and the log gives the eviction sequence
-        its times and victims and ``insertions`` its items, as slices.
+        its times and victims, as slices.
         """
         latency = self.per_request_latency
         total = sum(latency)
         assert total == self.committed
         log = self.log
         evictions = [0] * len(latency)
-        for t, victim in zip(log[::3], log[1::3]):
+        for t, victim in zip(log[::2], log[1::2]):
             evictions[t - 1] = victim
         return SimulationResult(
             # a request is a hit exactly when it costs 0
@@ -266,8 +249,6 @@ class Simulation:
             per_request_latency=latency,
             eviction_sequence=evictions,
             total_latency=total,
-            initial_cache=self.params.initial_cache(),
-            insertions=log[2::3],
         )
 
 
@@ -289,6 +270,21 @@ def simulate(params: ModelParams, sequence, policy) -> SimulationResult:
     return sim.result()
 
 
+def _replay_run(params: ModelParams, sequence, evictions):
+    """Yield a fresh run before the first step and after each step under
+    ``evictions``: the one loop of :func:`replay` and :func:`cache_history`."""
+    if len(evictions) != len(sequence):
+        raise ValueError(
+            f"eviction sequence length {len(evictions)} != trace length {len(sequence)}"
+        )
+    validate_sequence(params, sequence)
+    sim = Simulation(params)
+    yield sim
+    for item, eviction in zip(sequence, evictions):
+        sim.apply_eviction(sim.step(item), eviction)
+        yield sim
+
+
 def replay(params: ModelParams, sequence, evictions) -> SimulationResult:
     """Re-run a trace under a fixed eviction sequence, checking feasibility.
 
@@ -298,12 +294,12 @@ def replay(params: ModelParams, sequence, evictions) -> SimulationResult:
     opportunity (nothing returned, or the returned item already resident).
     As in :func:`simulate`, the run ends at its last request.
     """
-    if len(evictions) != len(sequence):
-        raise ValueError(
-            f"eviction sequence length {len(evictions)} != trace length {len(sequence)}"
-        )
-    validate_sequence(params, sequence)
-    sim = Simulation(params)
-    for item, eviction in zip(sequence, evictions):
-        sim.apply_eviction(sim.step(item), eviction)
+    for sim in _replay_run(params, sequence, evictions):
+        pass
     return sim.result()
+
+
+def cache_history(params: ModelParams, sequence, evictions) -> list[frozenset[int]]:
+    """The cache before the first step and after each step of
+    :func:`replay`'s run, checked as it is: O(T·k) to build."""
+    return [frozenset(sim.cache) for sim in _replay_run(params, sequence, evictions)]

@@ -17,6 +17,7 @@ from delayedhits import (
     NeverCachePolicy,
     ReductionPolicy,
     Simulation,
+    cache_history,
     make_policy,
     reduction_outer_params,
     replay,
@@ -46,7 +47,7 @@ def test_hit_is_free_and_leaves_state_alone():
     result = simulate(params, [1], LruPolicy())
     assert result.total_latency == 0
     assert result.hit_sequence == [1]
-    assert result.cache_history == [frozenset({1, 2})] * 2
+    assert cache_history(params, [1], result.eviction_sequence) == [frozenset({1, 2})] * 2
 
 
 def test_everything_resident_never_misses():
@@ -56,10 +57,11 @@ def test_everything_resident_never_misses():
 
 
 def test_replay_swaps_cache_at_retrieval():
-    result = replay(ModelParams(2, 1, 2), [2, 0, 2], [0, 1, 0])
+    params, seq = ModelParams(2, 1, 2), [2, 0, 2]
+    result = replay(params, seq, [0, 1, 0])
     assert result.per_request_latency == [2, 0, 0]
     assert result.total_latency == 2
-    assert result.cache_history == [
+    assert cache_history(params, seq, result.eviction_sequence) == [
         frozenset({1}),
         frozenset({1}),
         frozenset({2}),
@@ -75,17 +77,20 @@ def test_idle_slots_cost_nothing():
 
 def test_fetch_returning_past_the_end_costs_full_delay():
     # the only request returns well past the end of the trace
-    result = simulate(ModelParams(2, 1, 5), [2], NeverCachePolicy())
+    params = ModelParams(2, 1, 5)
+    result = simulate(params, [2], NeverCachePolicy())
     assert result.per_request_latency == [5]
-    assert len(result.cache_history) == 2
+    assert len(cache_history(params, [2], result.eviction_sequence)) == 2
 
 
 def test_all_zero_replay_never_changes_cache():
     rng = random.Random(5)
     for _ in range(20):
         k, delay, n, seq = draw_instance(rng)
-        result = replay(ModelParams(n, k, delay), seq, [0] * len(seq))
-        assert set(result.cache_history) == {frozenset(range(1, k + 1))}
+        params = ModelParams(n, k, delay)
+        result = replay(params, seq, [0] * len(seq))
+        history = cache_history(params, seq, result.eviction_sequence)
+        assert set(history) == {frozenset(range(1, k + 1))}
 
 
 def test_nonresident_eviction_is_rejected():
@@ -102,17 +107,21 @@ def test_eviction_without_insertion_opportunity_is_rejected():
     assert err.value.timestep == 1
 
 
-def test_replay_names_the_earliest_infeasible_eviction():
+@pytest.mark.parametrize("run", [replay, cache_history], ids=lambda run: run.__name__)
+def test_replay_names_the_earliest_infeasible_eviction(run):
     # t=1 is idle, so evicting 1 there is infeasible; the eviction of the
     # non-resident 2 at t=2 is infeasible too, but it comes later
     with pytest.raises(InfeasibleEvictionError) as err:
-        replay(ModelParams(2, 1, 1), [0, 2], [1, 2])
+        run(ModelParams(2, 1, 1), [0, 2], [1, 2])
     assert (err.value.timestep, err.value.item) == (1, 1)
+    assert str(err.value) == (
+        "infeasible eviction of item 1 at t=1: no insertion opportunity: nothing returned")
 
 
-def test_replay_length_mismatch():
-    with pytest.raises(ValueError):
-        replay(ModelParams(2, 1, 1), [1, 2], [0])
+@pytest.mark.parametrize("run", [replay, cache_history], ids=lambda run: run.__name__)
+def test_replay_length_mismatch(run):
+    with pytest.raises(ValueError, match=r"^eviction sequence length 1 != trace length 2$"):
+        run(ModelParams(2, 1, 1), [1, 2], [0])
 
 
 def test_sequence_validation():
@@ -159,11 +168,12 @@ def test_policy_inside_step_equals_paused_step_and_outside_decision(mode):
             sim = paused_run(params, sequence, policy(), lambda sim, returned: taken.append(sim.t))
             decisions += len(taken)
             assert sim.committed == inside.total_latency
-            assert set(sim.cache) == inside.cache_history[-1]
+            history = cache_history(params, sequence, inside.eviction_sequence)
+            assert set(sim.cache) == history[-1]
             outside = sim.result()
             assert outside.per_request_latency == inside.per_request_latency
             assert outside.eviction_sequence == inside.eviction_sequence
-            assert outside.insertions == inside.insertions
+            assert cache_history(params, sequence, outside.eviction_sequence) == history
     assert decisions > 10_000
 
 
@@ -266,8 +276,10 @@ def test_cache_stays_exactly_full():
     rng = random.Random(41)
     for _ in range(25):
         k, delay, n, seq = draw_instance(rng)
-        result = simulate(ModelParams(n, k, delay), seq, LruPolicy())
-        assert all(len(state) == k for state in result.cache_history)
+        params = ModelParams(n, k, delay)
+        result = simulate(params, seq, LruPolicy())
+        history = cache_history(params, seq, result.eviction_sequence)
+        assert all(len(state) == k for state in history)
 
 
 def test_fetch_on_hit_serves_a_later_miss():
@@ -289,20 +301,21 @@ def test_fetch_on_hit_never_slower_under_same_schedule():
         k, delay, n, seq = draw_instance(rng)
         params = ModelParams(n, k, delay)
         schedule = simulate(params, seq, RandomEvictionPolicy(rng.randrange(2**30)))
+        fetch_on_hit = ModelParams(n, k, delay, ANTIMONOTONE)
         standard = replay(params, seq, schedule.eviction_sequence)
-        variant = replay(
-            ModelParams(n, k, delay, ANTIMONOTONE), seq, schedule.eviction_sequence
-        )
+        variant = replay(fetch_on_hit, seq, schedule.eviction_sequence)
         assert variant.hit_sequence == standard.hit_sequence
-        assert variant.cache_history == standard.cache_history
+        assert (cache_history(fetch_on_hit, seq, variant.eviction_sequence)
+                == cache_history(params, seq, standard.eviction_sequence))
         for fast, slow in zip(variant.per_request_latency, standard.per_request_latency):
             assert fast <= slow
 
 
 def test_empty_trace():
-    result = simulate(ModelParams(2, 1, 3), [], LruPolicy())
+    params = ModelParams(2, 1, 3)
+    result = simulate(params, [], LruPolicy())
     assert result.total_latency == 0
-    assert result.cache_history == [frozenset({1})]
+    assert cache_history(params, [], result.eviction_sequence) == [frozenset({1})]
 
 
 @pytest.mark.parametrize("policy", ["lru", "fifo"])
@@ -318,15 +331,16 @@ def test_huge_sparse_ids_allocate_nothing_per_id(policy):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert huge in run.cache_history[-1] or huge in run.eviction_sequence
+    final = cache_history(params, seq, run.eviction_sequence)[-1]
+    assert huge in final or huge in run.eviction_sequence
     assert peak < 1_000_000
 
 
 def _step_and_record(rng, sim, sequence, record):
     """Step ``sim`` once, taking a random feasible eviction or a decline at
-    a decision, and note in ``record``, this run's (evictions, insertions,
-    cache history), what was applied."""
-    evictions, insertions, history = record
+    a decision, and note in ``record``, this run's (evictions, cache
+    history), what was applied."""
+    evictions, history = record
     cache = set(history[-1])
     returned = sim.step(sequence[sim.t])
     victim = 0
@@ -336,7 +350,6 @@ def _step_and_record(rng, sim, sequence, record):
     if victim:
         cache.remove(victim)
         cache.add(returned)
-        insertions.append(returned)
     evictions.append(victim)
     history.append(frozenset(cache))
 
@@ -355,7 +368,7 @@ def test_clones_share_no_later_eviction(mode):
         params = ModelParams(n, k, delay, mode)
         # each run: [simulation, its rng, its record, evictions since its clone]
         runs = [[Simulation(params), random.Random(rng.random()),
-                 ([], [], [params.initial_cache()]), 0]]
+                 ([], [params.initial_cache()]), 0]]
         while True:
             live = [run for run in runs if run[0].t < len(seq)]
             if not live:
@@ -371,11 +384,10 @@ def test_clones_share_no_later_eviction(mode):
             run[3] += record[0][-1] != 0
         if len(runs) > 1 and runs[0][3] and runs[-1][3]:
             both_evict_after_a_clone += 1
-        for sim, _, (evictions, insertions, history), _ in runs:
+        for sim, _, (evictions, history), _ in runs:
             result = sim.result()
             assert result.eviction_sequence == evictions
-            assert result.insertions == insertions
-            assert result.cache_history == history
+            assert cache_history(params, seq, result.eviction_sequence) == history
             assert replay(params, seq, result.eviction_sequence) == result
     assert both_evict_after_a_clone > 50
 
@@ -397,10 +409,11 @@ def test_a_clone_serves_its_own_burst(mode):
     assert sim.result() == twin.result() == replay(params, sequence, [0] * len(sequence))
 
 
-def test_simulate_holds_three_slots_per_eviction():
-    """A run keeps its evictions in one flat list: at this shape about two
-    thirds of the steps evict, and a linked record per eviction peaks at
-    about 2.0 MB, where the flat list peaks at about 1.4 MB."""
+def test_simulate_holds_two_slots_per_eviction():
+    """A run keeps its evictions in one flat list, two slots (time,
+    victim) each: at this shape about two thirds of the steps evict, and
+    a linked record per eviction peaks at about 2.0 MB, three slots per
+    eviction at about 1.4 MB, and two at about 1.2 MB."""
     seq = random_sequence(random.Random(1), 1000, 20_000, 0.25)
     params = ModelParams(1000, 100, 20)
     tracemalloc.start()
@@ -409,4 +422,4 @@ def test_simulate_holds_three_slots_per_eviction():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1_700_000
+    assert peak < 1_350_000

@@ -21,6 +21,7 @@ from delayedhits import (
     ModelParams,
     Simulation,
     antimonotone_latency,
+    cache_history,
     delayed_hits_latency,
 )
 
@@ -108,7 +109,8 @@ class PhaseMachine(RuleBasedStateMachine):
         # package a clone: the original run continues unaffected
         twin = self.sim.clone()
         result = twin.result()
-        assert result.cache_history == self.snapshots
+        history = cache_history(self.params, self.sequence, result.eviction_sequence)
+        assert history == self.snapshots
         closed_form = (
             antimonotone_latency if self.params.mode == ANTIMONOTONE else delayed_hits_latency
         )

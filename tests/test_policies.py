@@ -17,6 +17,7 @@ from delayedhits import (
     Simulation,
     StaticPolicy,
     brute_force_opt,
+    cache_history,
     counterexample_sequence,
     is_hit_sequence_feasible,
     make_policy,
@@ -24,7 +25,7 @@ from delayedhits import (
     replay,
     simulate,
 )
-from delayedhits.policies import POLICIES, draw_policy
+from delayedhits.policies import POLICIES, RandomEvictionPolicy, draw_policy
 from delayedhits.traces import draw_instance, random_sequence
 
 
@@ -45,23 +46,26 @@ def test_fifo_evicts_in_initial_order():
 
 
 def test_fifo_cycles_through_insertions():
-    result = simulate(ModelParams(4, 2, 1), [3, 4, 1, 3], FifoPolicy())
+    params, seq = ModelParams(4, 2, 1), [3, 4, 1, 3]
+    result = simulate(params, seq, FifoPolicy())
     # queue: (1,2) -> (2,3) -> (3,4) -> (4,1) -> (1,3); 3 misses again at t=4
     assert result.eviction_sequence == [1, 2, 3, 4]
-    assert result.cache_history[-1] == frozenset({1, 3})
+    assert cache_history(params, seq, result.eviction_sequence)[-1] == frozenset({1, 3})
 
 
 def test_never_cache_keeps_initial_cache():
-    result = simulate(ModelParams(4, 2, 2), [3, 4, 3], NeverCachePolicy())
-    assert set(result.cache_history) == {frozenset({1, 2})}
+    params, seq = ModelParams(4, 2, 2), [3, 4, 3]
+    result = simulate(params, seq, NeverCachePolicy())
+    assert set(cache_history(params, seq, result.eviction_sequence)) == {frozenset({1, 2})}
 
 
 def test_static_policy_converges_then_freezes():
     params = ModelParams(3, 2, 2)
-    result = simulate(params, [3, 0, 0, 3, 1], StaticPolicy({1, 3}))
+    seq = [3, 0, 0, 3, 1]
+    result = simulate(params, seq, StaticPolicy({1, 3}))
     # 3 returns at t=2's retrieval and replaces the only non-target item 2
     assert result.eviction_sequence[1] == 2
-    assert result.cache_history[-1] == frozenset({1, 3})
+    assert cache_history(params, seq, result.eviction_sequence)[-1] == frozenset({1, 3})
     assert result.per_request_latency == [2, 0, 0, 0, 0]
 
 
@@ -157,14 +161,49 @@ def test_opt_witness_replays_to_its_value():
         assert rerun.hit_sequence == opt.witness_hits
 
 
-def test_no_policy_beats_opt():
+@pytest.mark.parametrize("mode", [STANDARD, ANTIMONOTONE])
+def test_no_policy_beats_opt(mode):
+    """The optimum is at most every policy's total: each registered one,
+    static holding the initial cache, and a seeded random one."""
     rng = random.Random(89)
-    for _ in range(40):
+    for _ in range(200):
         k, delay, n, seq = draw_instance(rng, max_length=12, max_cache=2, max_delay=4)
-        params = ModelParams(n, k, delay)
+        params = ModelParams(n, k, delay, mode)
         opt = brute_force_opt(params, seq).min_latency
-        policy = draw_policy(rng, seq, k, n)
-        assert simulate(params, seq, policy).total_latency >= opt
+        policies = [make_policy(name, seq, params.initial_cache()) for name in POLICIES]
+        policies.append(RandomEvictionPolicy(rng.randrange(2**30)))
+        for policy in policies:
+            assert simulate(params, seq, policy).total_latency >= opt
+
+
+def test_a_bigger_cache_never_raises_the_fetch_on_hit_optimum():
+    """OPT(k+1) <= OPT(k) in the fetch-on-hit mode.
+
+    Proof: let a (k+1)-run copy every decision of an optimal k-run. It
+    starts with the k-run's cache plus item k+1, and it keeps one extra
+    item throughout: when the k-run caches an item, the copy evicts the
+    same victim for it, unless that item is its extra one, which is
+    resident, so the copy has nothing to decide and the k-run's victim
+    becomes its extra item. So its cache always contains the k-run's. In
+    this mode every request dispatches a fetch whatever its hit bit, so
+    both runs have the same fetches in flight and a miss costs the same
+    in either; each extra hit only removes that request's miss cost. The
+    copy costs at most OPT(k), and OPT(k+1) is at most the copy.
+
+    Not asserted in the standard mode: there an extra hit dispatches no
+    fetch, which can make a later request cost more (the source paper's
+    second result)."""
+    rng = random.Random(101)
+    strict = 0
+    for _ in range(400):
+        k, delay = rng.randint(1, 3), rng.randint(2, 7)
+        n = k + rng.randint(2, 4)
+        seq = random_sequence(rng, n, rng.randint(5, 22))
+        small, big = (brute_force_opt(ModelParams(n, size, delay, ANTIMONOTONE), seq).min_latency
+                      for size in (k, k + 1))
+        assert big <= small
+        strict += big < small
+    assert strict > 100
 
 
 class _DemandBelady(BeladyPolicy):

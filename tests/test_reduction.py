@@ -12,6 +12,7 @@ from delayedhits import (
     NeverCachePolicy,
     ReductionPolicy,
     VerificationError,
+    cache_history,
     reduction_outer_params,
     simulate,
     verify_domination,
@@ -90,7 +91,7 @@ def test_outer_cache_is_exactly_k_plus_delay():
     assert outer.cache_size == 6
     seq = random_sequence(random.Random(3), 6, 40)
     run = simulate(outer, seq, ReductionPolicy(LruPolicy(), inner_params))
-    assert all(len(state) == 6 for state in run.cache_history)
+    assert all(len(state) == 6 for state in cache_history(outer, seq, run.eviction_sequence))
 
 
 @pytest.mark.parametrize("make", [LruPolicy, FifoPolicy], ids=["lru", "fifo"])
@@ -99,7 +100,7 @@ def test_shadow_run_equals_an_independent_inner_run(make, wide):
     # verify_domination reports the wrapper's lockstep shadow as A's run;
     # check it against A simulated on its own, fresh policy and all
     rng = random.Random(31 if wide else 37)
-    insertions = 0
+    evictions = 0
     for _ in range(60):
         k, delay = rng.randint(1, 4), rng.randint(1, 6)
         n = k + delay + rng.randint(1, 6) if wide else rng.randint(2, k + delay)
@@ -108,15 +109,17 @@ def test_shadow_run_equals_an_independent_inner_run(make, wide):
         wrapped = ReductionPolicy(make(), inner_params)
         simulate(reduction_outer_params(inner_params), seq, wrapped)
         shadow = wrapped.inner.result()
-        alone = simulate(ModelParams(n, k, delay, ANTIMONOTONE), seq, make())
+        fetch_on_hit = ModelParams(n, k, delay, ANTIMONOTONE)
+        alone = simulate(fetch_on_hit, seq, make())
         assert shadow.per_request_latency == alone.per_request_latency
         assert shadow.eviction_sequence == alone.eviction_sequence
-        assert shadow.insertions == alone.insertions
+        assert (cache_history(fetch_on_hit, seq, shadow.eviction_sequence)
+                == cache_history(fetch_on_hit, seq, alone.eviction_sequence))
         report = verify_domination(seq, make(), inner_params)
         assert report.inner_per_request == alone.per_request_latency
         assert report.inner_total == alone.total_latency
-        insertions += len(alone.insertions)
-    assert insertions > 100
+        evictions += sum(1 for victim in alone.eviction_sequence if victim)
+    assert evictions > 100
 
 
 def all_items_rule(wrapper, t, cache, last_request):
