@@ -102,11 +102,8 @@ def cmd_simulate(args):
     params = ModelParams(n, args.k, args.Z, args.model)
     result = simulate(params, sequence, _policy_for(args, params, sequence=sequence))
     results = {
+        **result._asdict(),
         "trace_length": len(sequence),
-        "total_latency": result.total_latency,
-        "per_request_latency": result.per_request_latency,
-        "hit_sequence": result.hit_sequence,
-        "eviction_sequence": result.eviction_sequence,
         "miss_count": result.hit_sequence.count(0),
     }
     return _params_dict(params, args.policy), results, EXIT_OK
@@ -169,14 +166,9 @@ def cmd_counterexample(args):
         report = verify_nonantimonotonicity(cspec, args.oracle_check, args.search_budget)
     except SearchBudgetExceeded as exc:
         code, error, report = EXIT_BUDGET, str(exc), exc.report
-    results = {
-        **report._asdict(),
-        "sequence": list(cspec.sequence),
-        "baseline_bits": list(cspec.baseline_bits),
-        "extra_hit_bits": list(cspec.extra_hit_bits),
-        "burst_len": cspec.burst_len,
-        "predicted_gap": cspec.predicted_gap,
-    }
+    results = {**report._asdict(), **cspec._asdict()}
+    # the envelope carries these as Z and k
+    del results["delay"], results["cache_size"]
     if error is not None:
         # only an overrun report carries it, like adversary's oracle_error
         results["search_error"] = error

@@ -1,8 +1,10 @@
 """What the tests share: the call-recording fixture that the cost tests
 count with, the names of recorded searches, a policy checked against its
-defining rule, and ``simulate``'s run rebuilt from paused steps."""
+defining rule, ``simulate``'s run rebuilt from paused steps, and the
+memory probe that the allocation tests bound."""
 
 import inspect
+import tracemalloc
 
 import pytest
 
@@ -89,3 +91,13 @@ def paused_run(params, sequence, policy, visit):
             visit(sim, returned)
             sim.apply_eviction(returned, policy.choose_eviction(sim.t, returned, sim.cache.keys()))
     return sim
+
+
+def traced_peak(call):
+    """``call()``'s value and the peak bytes that ``tracemalloc`` traced
+    while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

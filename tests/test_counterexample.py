@@ -1,6 +1,5 @@
 """The extra-hit-hurts construction and its verified claims."""
 
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,7 +20,7 @@ from delayedhits import (
 from delayedhits import counterexample, latency, search
 from delayedhits.model import Simulation, VerificationError
 
-from conftest import search_names
+from conftest import search_names, traced_peak
 
 
 def test_building_block_closed_forms():
@@ -158,12 +157,8 @@ def test_first_deviation_table_holds_only_taken_choices():
     cspec = counterexample_sequence(160, 52)
     seq, bits = list(cspec.sequence), list(cspec.baseline_bits)
     low, _ = delayed_hits_latency(seq, cspec.delay, bits)
-    tracemalloc.start()
-    try:
-        _, runs, nodes = search._search(cspec.params(), seq, 10**6, limit=low, avoid=bits)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (_, runs, nodes), peak = traced_peak(
+        lambda: search._search(cspec.params(), seq, 10**6, limit=low, avoid=bits))
     assert runs.keys() == {cspec.baseline_bits}
     assert nodes == 84
     assert peak < 4 * 2**20

@@ -3,7 +3,6 @@
 import copy
 import pickle
 import random
-import tracemalloc
 
 import pytest
 
@@ -26,7 +25,7 @@ from delayedhits import (
 from delayedhits.policies import POLICIES, RandomEvictionPolicy, draw_policy
 from delayedhits.traces import draw_instance, random_sequence
 
-from conftest import paused_run
+from conftest import paused_run, traced_peak
 
 
 @pytest.mark.parametrize("delay", range(1, 11))
@@ -325,12 +324,7 @@ def test_huge_sparse_ids_allocate_nothing_per_id(policy):
     rng = random.Random(8)
     seq = [rng.choice([0, 1, 2, 3, 5, huge - 1, huge]) for _ in range(1000)]
     params = ModelParams(10**11, 3, 4)
-    tracemalloc.start()
-    try:
-        run = simulate(params, seq, make_policy(policy))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    run, peak = traced_peak(lambda: simulate(params, seq, make_policy(policy)))
     final = cache_history(params, seq, run.eviction_sequence)[-1]
     assert huge in final or huge in run.eviction_sequence
     assert peak < 1_000_000
@@ -416,10 +410,5 @@ def test_simulate_holds_two_slots_per_eviction():
     eviction at about 1.4 MB, and two at about 1.2 MB."""
     seq = random_sequence(random.Random(1), 1000, 20_000, 0.25)
     params = ModelParams(1000, 100, 20)
-    tracemalloc.start()
-    try:
-        simulate(params, seq, make_policy("lru"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: simulate(params, seq, make_policy("lru")))
     assert peak < 1_350_000

@@ -12,6 +12,7 @@ from delayedhits import (
     NeverCachePolicy,
     ReductionPolicy,
     VerificationError,
+    brute_force_opt,
     cache_history,
     reduction_outer_params,
     simulate,
@@ -92,6 +93,28 @@ def test_outer_cache_is_exactly_k_plus_delay():
     seq = random_sequence(random.Random(3), 6, 40)
     run = simulate(outer, seq, ReductionPolicy(LruPolicy(), inner_params))
     assert all(len(state) == 6 for state in cache_history(outer, seq, run.eviction_sequence))
+
+
+def test_the_standard_optimum_with_k_plus_delay_slots_is_at_most_the_fetch_on_hit_optimum():
+    """OPT_standard(n, k+Z) <= OPT_fetch-on-hit(n, k).
+
+    Proof: let the inner policy replay the schedule of a fetch-on-hit
+    optimum. The k+Z wrapper around it is never slower on any request
+    (criterion 6), so its standard run costs at most the inner run's
+    total, and the standard optimum with k+Z slots is at most the
+    wrapper's run."""
+    rng = random.Random(103)
+    strict = 0
+    for _ in range(400):
+        k, delay = rng.randint(1, 2), rng.randint(1, 4)
+        n = k + delay + rng.randint(1, 3)
+        seq = random_sequence(rng, n, rng.randint(5, 24))
+        inner = ModelParams(n, k, delay, ANTIMONOTONE)
+        outer = brute_force_opt(reduction_outer_params(inner), seq).min_latency
+        fetch_on_hit = brute_force_opt(inner, seq).min_latency
+        assert outer <= fetch_on_hit
+        strict += outer < fetch_on_hit
+    assert strict > 300
 
 
 @pytest.mark.parametrize("make", [LruPolicy, FifoPolicy], ids=["lru", "fifo"])

@@ -5,7 +5,6 @@ trace writer against one line per item."""
 
 import json
 import sys
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,6 +21,8 @@ from delayedhits.traces import (
     read_trace,
     write_trace,
 )
+
+from conftest import traced_peak
 
 
 def reference_dump(value):
@@ -118,12 +119,8 @@ def test_writer_memory_is_bounded_by_a_slice():
     # one long vector, written chunk by chunk as _emit does: the writer
     # holds one slice's text at a time, not a str per item plus the join
     vector = [i * 7919 % 10**6 for i in range(200_000)]
-    tracemalloc.start()
-    try:
-        written = sum(len(chunk) for chunk in _json_chunks({"v": vector}))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    written, peak = traced_peak(
+        lambda: sum(len(chunk) for chunk in _json_chunks({"v": vector})))
     assert written == len(reference_dump({"v": vector}))
     assert peak < 1_000_000, f"writer peaked at {peak} bytes for {written} written"
 

@@ -8,7 +8,6 @@ first matching schedules in the oracle's list.
 
 import operator
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +27,7 @@ from delayedhits.policies import RandomEvictionPolicy
 from delayedhits.search import _branches, _forced_terms, _key, _search
 from delayedhits.traces import random_sequence, request_times
 
-from conftest import paused_run
+from conftest import paused_run, traced_peak
 
 
 def _forced_latency(params, sequence):
@@ -300,16 +299,12 @@ def test_searches_do_not_depend_on_id_values(mode):
         decided += opt.nodes > 0
         feasible = is_hit_sequence_feasible(dense_params, sequence, opt.witness_hits)
         deviation = _search(dense_params, sequence, limit=opt.min_latency, avoid=opt.witness_hits)
-        tracemalloc.start()
-        try:
-            sparse_opt = brute_force_opt(sparse_params, sparse)
-            sparse_feasible = is_hit_sequence_feasible(
-                sparse_params, sparse, opt.witness_hits)
-            sparse_deviation = _search(sparse_params, sparse,
-                                       limit=opt.min_latency, avoid=opt.witness_hits)
-            peak = max(peak, tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        (sparse_opt, sparse_feasible, sparse_deviation), call_peak = traced_peak(lambda: (
+            brute_force_opt(sparse_params, sparse),
+            is_hit_sequence_feasible(sparse_params, sparse, opt.witness_hits),
+            _search(sparse_params, sparse, limit=opt.min_latency, avoid=opt.witness_hits),
+        ))
+        peak = max(peak, call_peak)
         assert sparse_opt == opt._replace(
             witness_evictions=[relabel(v) for v in opt.witness_evictions])
         assert sparse_feasible == (True, [relabel(v) for v in feasible[1]])
