@@ -127,6 +127,13 @@ def test_bound_holds_against_every_deterministic_family(family):
             assert report.marked <= set(range(1, K - delay + 2))
 
 
+def test_lru_at_spec_point():
+    report = build_adversarial_sequence(LruPolicy(), ModelParams(3, 2, 3))
+    assert report.policy_latency == 15
+    assert report.opt_latency == 3
+    assert report.ratio_lower_bound == 5
+
+
 def test_never_cache_hits_the_cap():
     params = ModelParams(4, 3, 3)
     report = build_adversarial_sequence(NeverCachePolicy(), params, cap=5)

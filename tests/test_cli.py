@@ -225,6 +225,14 @@ def test_counterexample_trace_roundtrip(tmp_path, capsys):
     assert read_trace(out) == report["results"]["sequence"]
 
 
+def test_check_latency_at_spec_scale(capsys):
+    code, report = run_cli(
+        capsys, "check", "--suite", "latency", "--cases", "1000", "--seed", "7"
+    )
+    assert code == 0
+    assert report["results"]["passed"] == 1000
+
+
 def test_reduce_command(tmp_path, capsys):
     trace = write_lines(tmp_path / "t.txt", [0, 1, 3, 5, 2, 0, 2])
     code, report = run_cli(
