@@ -6,9 +6,10 @@ Its bytes are exactly ``json.dumps(envelope, indent=2, sort_keys=True)``
 plus a newline, written in chunks by ``_json_chunks``: it formats the long
 int vectors itself, so that they skip ``json``'s pure-Python indenting
 encoder, and leaves every other value to ``json.dumps``.
-Exit codes: 0 ok, 1 property violation, 2 input error, 3 infeasible
-eviction, 4 search budget exceeded; a reader that closes stdout before
-the report ends leaves the code as it was.
+Exit codes: 0 ok, 1 property violation, 2 input error (an instance too
+large to build included), 3 infeasible eviction, 4 search budget
+exceeded; a reader that closes stdout before the report ends leaves the
+code as it was.
 
 Start-up imports only the model, the policies and the trace I/O, which
 every command runs; ``simulate`` needs nothing more. Each other command
@@ -61,6 +62,9 @@ EXIT_BUDGET = 4
 _EXIT_CODES = {
     TraceError: EXIT_INPUT,
     ValueError: EXIT_INPUT,
+    # an instance too large to build: a length past memory or past an index
+    MemoryError: EXIT_INPUT,
+    OverflowError: EXIT_INPUT,
     InfeasibleEvictionError: EXIT_INFEASIBLE,
     SearchBudgetExceeded: EXIT_BUDGET,
     VerificationError: EXIT_VIOLATION,
@@ -526,7 +530,8 @@ def main(argv=None) -> int:
         }
         _emit(envelope, args.out)
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a bare MemoryError() has no message, so name its class
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
     return code
 

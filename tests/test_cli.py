@@ -31,6 +31,8 @@ from delayedhits.traces import random_sequence, read_trace, write_trace
 
 from conftest import search_names
 
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
 
 def parse_report(out):
     """The report that stdout ``out`` holds, or None if it is empty."""
@@ -45,6 +47,22 @@ def parse_report(out):
 def run_cli(capsys, *argv):
     code = main(list(argv))
     return code, parse_report(capsys.readouterr().out)
+
+
+def run_in_own_session(argv, timeout):
+    """(exit code, stdout, stderr) of ``argv`` run with the package on its
+    path in a session of its own, so that a run that overruns ``timeout``
+    is killed together with every worker it forked."""
+    with subprocess.Popen(
+        argv, env={**os.environ, "PYTHONPATH": SRC}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    ) as child:
+        try:
+            out, err = child.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            raise
+    return child.returncode, out, err
 
 
 def write_lines(path, items):
@@ -225,26 +243,6 @@ def test_counterexample_trace_roundtrip(tmp_path, capsys):
     assert read_trace(out) == report["results"]["sequence"]
 
 
-def test_check_latency_at_spec_scale(capsys):
-    code, report = run_cli(
-        capsys, "check", "--suite", "latency", "--cases", "1000", "--seed", "7"
-    )
-    assert code == 0
-    assert report["results"]["passed"] == 1000
-
-
-def test_reduce_command(tmp_path, capsys):
-    trace = write_lines(tmp_path / "t.txt", [0, 1, 3, 5, 2, 0, 2])
-    code, report = run_cli(
-        capsys, "reduce", trace, "--policy", "lru", "-k", "1", "-Z", "3"
-    )
-    assert code == 0
-    results = report["results"]
-    assert results["dominates"]
-    assert results["outer_total"] <= results["inner_total"]
-    assert results["outer_cache_size"] == 4
-
-
 def test_reduce_reports_a_failed_domination(tmp_path, capsys, monkeypatch):
     trace = write_lines(tmp_path / "t.txt", [0, 1, 3, 5, 2, 0, 2])
     monkeypatch.setattr(reduction, "verify_domination",
@@ -284,6 +282,20 @@ def test_check_draws_the_pinned_cases(capsys, monkeypatch, calls, suite):
     argv = ["check", "--suite", suite, "--cases", "200", "--seed", "1"]
     code, _, drawn, _ = _sweep(capsys, monkeypatch, calls, 1, argv)
     assert code == 0 and drawn == CHECK_DRAWS[suite]
+
+
+@pytest.mark.parametrize("suite", sorted(cli._SUITES))
+def test_each_suite_runs_clean_in_dev_mode(suite):
+    """A sweep spreads its cases over a fork pool after loading the module
+    its suite checks; a warning about forking a threaded process (3.12+)
+    or an unclosed pool pipe fails the run under -W error or shows on
+    stderr."""
+    code, out, err = run_in_own_session(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "delayedhits.cli", "check",
+         "--suite", suite, "--cases", "2000", "--seed", "1"], timeout=120,
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["passed"] == 2000
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
@@ -326,10 +338,9 @@ def test_reader_closing_the_pipe_early_is_not_an_error(tmp_path):
     # a report of several MB overfills the pipe, so the reader's close
     # lands while the CLI is still writing
     trace = write_lines(tmp_path / "big.txt", random_sequence(random.Random(5), 50, 200_000))
-    src = str(Path(cli.__file__).resolve().parents[1])
     with subprocess.Popen(
         [sys.executable, "-m", "delayedhits.cli", "simulate", trace, "-k", "5", "-Z", "4"],
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     ) as proc:
         assert proc.stdout.read(10) == b'{\n  "comma'
@@ -366,9 +377,30 @@ _WHOLE_26_7 = "cdd5f4cc34580e29a8d848b2277028d5c18855b379fc328847acdbea1d4d8cd7"
 _FEASIBILITY_CUT_26_7 = "1a8894a65c1aa6140d7c9bb743fbaa77d5f29d4430143afa7a6e82f2431ba2c8"
 
 
+@pytest.fixture(scope="module")
+def pinned_traces(tmp_path_factory):
+    """The traces the report pins read, written once: TRACE is 2000 seeded
+    requests over 40 items and LONG 9000 of them; MILLION is 10^6 seeded
+    requests over 1000 items, a trace that must keep its bytes too, and
+    PREFIX its first 10^5."""
+    folder = tmp_path_factory.mktemp("pinned")
+    million = random_sequence(random.Random(1), 1000, 10**6)
+    sequences = {
+        "TRACE": random_sequence(random.Random(2024), 40, 2000),
+        "LONG": random_sequence(random.Random(2024), 40, 9000),
+        "MILLION": million,
+        "PREFIX": million[:10**5],
+    }
+    paths = {name: write_lines(folder / f"{name}.txt", sequence)
+             for name, sequence in sequences.items()}
+    assert hashlib.sha256(Path(paths["MILLION"]).read_bytes()).hexdigest() == (
+        "0468141b4a9790f7b727f6d0a815aeb93e2e11fad41b46a35c0976d5b8689607")
+    return paths
+
+
 # sha256 of the full stdout of each command, pinned from the json.dumps
 # writer; any change to a report's bytes, format or content, shows here.
-# TRACE is 2000 seeded requests over 40 items, LONG 9000 of them
+# Every Python the project supports must give the same bytes
 @pytest.mark.parametrize(
     "argv,code,digest",
     [
@@ -420,34 +452,49 @@ _FEASIBILITY_CUT_26_7 = "1a8894a65c1aa6140d7c9bb743fbaa77d5f29d4430143afa7a6e82f
         ([*_26_7, "--oracle-check", "--search-budget", "40"], 0, _WHOLE_26_7),
         (["counterexample", "-Z", "60", "-k", "20", "--oracle-check"], 0,
          "d349ff107f195ed69cafdda27d7bd13cb3012dd383ebf7544bd4e95f31c91ca6"),
+        # the certificate at scale: T = 16 960, whatever order the verifier's
+        # searches run in
+        (["counterexample", "-Z", "160", "-k", "52", "--oracle-check"], 0,
+         "f4263fd68cc68bd14105cf5a060db81c43df8ecc8dbdde8c38dd270b9d7f7577"),
+        # T = 67 200
+        (["counterexample", "-Z", "320", "-k", "104", "--oracle-check"], 0,
+         "096d88682968514afffb3d94f7382ddca8a00cf58c46073b2c7d7785e28929e7"),
+        # T = 267 520, the largest the README documents, about 58 MB peak RSS
+        # from the command line: the first-deviation search keeps in its
+        # table only the choices it takes
+        (["counterexample", "-Z", "640", "-k", "208", "--oracle-check"], 0,
+         "a81f9727aa7cad0a7e82a7cbe71ce269c3b0b47c535777502bc2cb2fab49dc53"),
+        # the k = 1 rungs: the two bounded feasibility searches hold up to
+        # Z/2 fetches in flight but key on (t, cache) alone, since their
+        # runs follow their targets and the fixed delay Z fixes the fetches
+        (["counterexample", "-Z", "3000", "-k", "1"], 0,
+         "b16c451f78c279183d675d75216d7242f417718efb4b23fce2b7c55255d2a092"),
+        (["counterexample", "-Z", "10000", "-k", "1"], 0,
+         "ab3793d3ae823d7bf072edfa37a8eba4b3f7ea67ca4aee29d166ce05a8094a4a"),
+        (["counterexample", "-Z", "30000", "-k", "1"], 0,
+         "97d4e4937633e19d1b59dec6051f3076c5df92b6eceb213261e4cec984c3f077"),
+        # simulate at the scale the README names, 10^6 requests
+        (["simulate", "MILLION", "--policy", "lru", "-n", "1000", "-k", "100", "-Z", "20"],
+         0, "519abe1b245f8bbbc3d516c8be3c471a3e41c24629956b30900dec611ec9cbea"),
+        # the k+Z wrapper's evictions at scale, on 10^5 requests
+        (["reduce", "PREFIX", "--policy", "lru", "-n", "1000", "-k", "100", "-Z", "20"],
+         0, "82ba07fd131d72e6ae73a009a1eb8c8b6bee8b3cf36194baae10cbcfd67251cc"),
     ],
     ids=["simulate-lru", "simulate-fifo", "counterexample", "adversary", "check",
          "reduce-lru", "reduce-fifo", "reduce-belady", "simulate-antimonotone",
          "adversary-wide-universe", "simulate-static", "reduce-static",
          "adversary-static", "simulate-lru-long", "simulate-fifo-long",
          "26-7", "26-7-budget-5", "26-7-budget-5-feasibility", "26-7-budget-15",
-         "26-7-budget-16", "26-7-budget-17", "26-7-budget-30", "26-7-budget-40", "60-20"],
+         "26-7-budget-16", "26-7-budget-17", "26-7-budget-30", "26-7-budget-40", "60-20",
+         "160-52", "320-104", "640-208", "3000-1", "10000-1", "30000-1",
+         "simulate-lru-million", "reduce-lru-prefix"],
 )
-def test_report_bytes_are_pinned(tmp_path, capsys, argv, code, digest):
+def test_report_bytes_are_pinned(pinned_traces, capsys, argv, code, digest):
     # LONG's result vectors span three of the writer's slices
     assert 9000 > 2 * cli._INT_SLICE + 1
-    lengths = {"TRACE": 2000, "LONG": 9000}
-    argv = [
-        write_lines(tmp_path / "t.txt", random_sequence(random.Random(2024), 40, lengths[arg]))
-        if arg in lengths else arg for arg in argv
-    ]
-    returned, report = run_cli(capsys, *argv)
-    assert returned == code
-    # run_cli asserted that stdout holds exactly these bytes
-    out = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert main([pinned_traces.get(arg, arg) for arg in argv]) == code
+    out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-def test_envelope_params_schema(capsys):
-    code, report = run_cli(capsys, "check", "--suite", "latency", "--cases", "5")
-    assert code == 0
-    assert set(report["params"]) == {"n", "k", "Z", "mode", "policy", "seed"}
-    assert report["version"]
 
 
 def _off_by_one_when_length_divides_by_3(real):
@@ -515,6 +562,10 @@ def _wrong_optimum(real):
          "infeasible eviction of item 2 at t=5: item not resident"),
         (["simulate", "TRACE"],
          (cli, "simulate", _raising(SearchBudgetExceeded("too large"))), 4, "too large"),
+        # an instance too large to build; a bare MemoryError has no message
+        (["simulate", "TRACE"], (cli, "simulate", _raising(MemoryError())), 2, "MemoryError"),
+        (["counterexample", "-Z", "10000000000000000000"], None, 2,
+         "cannot fit 'int' into an index-sized integer"),
         (["adversary", "--oracle-check"], (search, "brute_force_opt", _wrong_optimum), 1,
          "exhaustive optimum 5 != witnessed optimum 4"),
         (["check", "--cases", "1", "--out", "NODIR/x.json"], None, 2,
@@ -565,7 +616,8 @@ def _wrong_optimum(real):
     ],
     ids=["trace", "trace-undecodable", "value", "cases-negative", "idle-prob-2",
          "idle-prob-1", "idle-prob-negative", "idle-prob-nan", "trace-not-integer",
-         "trace-negative", "universe", "infeasible", "budget", "verification", "out",
+         "trace-negative", "universe", "infeasible", "budget", "memory", "overflow",
+         "verification", "out",
          "trace-out", "cap-0", "cap-negative", "search-budget-adversary",
          "search-budget-counterexample", "small-delay", "offline-adversary",
          "adversary-small-universe", "counterexample-k-0", "static-above-n",
@@ -599,6 +651,8 @@ def test_main_maps_each_error_to_its_exit_code(
 _EXIT_EXAMPLES = {
     "TraceError('unreadable trace')": 2,
     "ValueError('bad value')": 2,
+    "MemoryError('out of memory')": 2,
+    "OverflowError('too large')": 2,
     "InfeasibleEvictionError(5, 2)": 3,
     "InfeasibleEvictionError(7, 1, 'no insertion opportunity')": 3,
     "SearchBudgetExceeded('too large')": 4,
@@ -624,10 +678,8 @@ def test_a_check_raising_in_a_worker_reaches_main(text, code):
     """An exception from a pooled check gives main's exit code and error
     line, and leaves no worker behind. It runs in a subprocess with a
     timeout, so that a pool that never returns fails the test."""
-    src = str(Path(cli.__file__).resolve().parents[1])
     probe = (
-        f"import sys; sys.path.insert(0, {src!r})\n"
-        "import multiprocessing\n"
+        "import multiprocessing, sys\n"
         "from delayedhits import cli\n"
         f"exc = eval({text!r}, vars(cli))\n"
         "def explode(*args):\n"
@@ -638,17 +690,9 @@ def test_a_check_raising_in_a_worker_reaches_main(text, code):
         "assert not multiprocessing.active_children()\n"
         "sys.exit(code)\n"
     )
-    with subprocess.Popen(
-        [sys.executable, "-c", probe], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True, start_new_session=True,
-    ) as child:
-        try:
-            out, err = child.communicate(timeout=60)
-        except subprocess.TimeoutExpired:
-            os.killpg(child.pid, signal.SIGKILL)  # its workers too
-            raise
+    returned, out, err = run_in_own_session([sys.executable, "-c", probe], timeout=60)
     expected = eval(text, vars(cli))
-    assert (child.returncode, out, err) == (code, "", f"error: {expected}\n")
+    assert (returned, out, err) == (code, "", f"error: {expected}\n")
 
 
 def test_a_raising_pooled_sweep_leaves_its_pool_with_no_task_in_flight(

@@ -1,7 +1,7 @@
 """Every command at the edges of every numeric flag.
 
-Each flag takes 0, 1, n, n + 1 and, where the value does not set the
-report's length, a huge value. Every row must exit 0 with a report, or 2
+Each flag takes 0, 1, n, n + 1 and, except the adversary's cache size,
+a huge value. Every row must exit 0 with a report, or 2
 with one ``error:`` line, never with a traceback; ``--search-budget`` may
 also stop a search, exit 4 with a partial report. The traces are tiny, so
 a run's tracemalloc peak must stay under a small cap whatever cache size,
@@ -45,14 +45,16 @@ SWEEP = {
     ("reduce", "TRACE", "--policy", "static"): {
         "-n": ("22000", HUGE), "-k": ("20000", BIG), "-Z": ("20000", BIG)},
     # the adversary's and the counterexample's k and delay set their trace's
-    # length, so they get no huge value
+    # length, so a huge one is an instance too large to build: it fails on
+    # its first allocation and exits 2. The adversary's k gets no huge
+    # value, since its cache holds k items and overruns the peak cap first
     ("adversary", "--oracle-check"): {
-        "-n": ("22000", HUGE), "-k": ("2000", None), "-Z": ("2000", None),
+        "-n": ("22000", HUGE), "-k": ("2000", None), "-Z": ("20002", BIG),
         "--cap": ("20000", BIG), "--search-budget": ("40000", BIG)},
     ("adversary", "--policy", "static", "--oracle-check"): {
-        "-n": ("22000", HUGE), "-k": ("2000", None), "-Z": ("2000", None)},
+        "-n": ("22000", HUGE), "-k": ("2000", None), "-Z": ("20002", BIG)},
     ("counterexample", "-Z", "6", "--oracle-check"): {
-        "-k": ("2000", None), "-Z": ("2222", None), "--search-budget": ("44440", BIG)},
+        "-k": ("20002", BIG), "-Z": ("22222", BIG), "--search-budget": ("44440", BIG)},
     ("check", "--cases", "4"): {
         "--cases": ("2000", None), "--seed": ("00000", HUGE),
         "--idle-prob": ("02222", BIG)},

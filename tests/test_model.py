@@ -247,16 +247,6 @@ def test_identical_runs_are_identical():
         assert first == second
 
 
-def test_delay_one_collapses_to_classical_caching():
-    rng = random.Random(23)
-    for _ in range(50):
-        k, _, n, seq = draw_instance(rng)
-        policy = draw_policy(rng, seq, k, n)
-        result = simulate(ModelParams(n, k, 1), seq, policy)
-        misses = sum(1 for item, bit in zip(seq, result.hit_sequence) if item and not bit)
-        assert result.total_latency == misses
-
-
 def test_latency_range_and_hit_zero_link():
     rng = random.Random(37)
     for _ in range(50):
